@@ -11,7 +11,7 @@ exact arithmetic over Q or a cyclotomic extension.
 from .arith import (CycElem, CyclotomicField, Field, QQ, RationalField,
                     UniPoly, char_poly, determinant, factor_univariate,
                     solve_linear)
-from .budgets import Budget, DEFAULT
+from .budgets import Budget, DEFAULT, using
 from .cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
                     PointCluster, UpstairsCycle, conservation_check,
                     f_product, intersect_model, intersect_upstairs, is_proper,
@@ -47,6 +47,6 @@ __all__ = [
     "principal_divisor", "pullback", "pullback_along_map", "pushforward",
     "pushforward_along_map", "q_pullback", "reynolds", "run",
     "setwise_stabilizer", "solve_linear", "specialize", "split_clusters",
-    "total_intersection_number", "trace_form", "verify_direct_factor",
-    "wedge",
+    "total_intersection_number", "trace_form", "using",
+    "verify_direct_factor", "wedge",
 ]

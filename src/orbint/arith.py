@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
-from .budgets import DEFAULT, Budget
+from . import budgets
+from .budgets import Budget
 from .errors import DegreeTooLarge
 
 
@@ -839,7 +840,8 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
 # factorization entry points
 # ---------------------------------------------------------------------------
 
-def factor_univariate(p: UniPoly, budget: Budget = DEFAULT) -> list[tuple[UniPoly, int]]:
+def factor_univariate(p: UniPoly,
+                      budget: Budget | None = None) -> list[tuple[UniPoly, int]]:
     """Factor a univariate polynomial into monic irreducibles with exponents.
 
     Over the rationals the factors are certified irreducible.  Over a
@@ -852,8 +854,9 @@ def factor_univariate(p: UniPoly, budget: Budget = DEFAULT) -> list[tuple[UniPol
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree > budget.degree_bound:
-        raise DegreeTooLarge(f"degree {p.degree} exceeds bound {budget.degree_bound}")
+    bound = (budget or budgets.current()).degree_bound
+    if p.degree > bound:
+        raise DegreeTooLarge(f"degree {p.degree} exceeds bound {bound}")
     if p.degree == 0:
         return []
     if p.field == QQ:
@@ -1011,11 +1014,13 @@ def _norm_poly(f: UniPoly, s: int, phi: UniPoly) -> UniPoly | None:
 
 
 def _bareiss_det_poly(rows: list[list[UniPoly]]) -> UniPoly:
-    """Bareiss determinant over Q[x] (divisions are exact)."""
+    """Bareiss determinant over F[x], F the field of the entries (divisions
+    are exact)."""
+    field = rows[0][0].field
     n = len(rows)
     m = [row[:] for row in rows]
     sign = 1
-    prev = UniPoly(QQ, [1])
+    prev = UniPoly(field, [1])
     for k in range(n - 1):
         if m[k][k].is_zero():
             for i in range(k + 1, n):
@@ -1024,12 +1029,12 @@ def _bareiss_det_poly(rows: list[list[UniPoly]]) -> UniPoly:
                     sign = -sign
                     break
             else:
-                return UniPoly.zero(QQ)
+                return UniPoly.zero(field)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = num.exact_div(prev)
-            m[i][k] = UniPoly.zero(QQ)
+            m[i][k] = UniPoly.zero(field)
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det * Fraction(sign)
@@ -1142,13 +1147,6 @@ def _clear_row_denominators(field: Field, row: list):
 
 def _exact_scalar_div(num, den):
     return num / den
-
-
-def matrix_rank(field: Field, rows: list[list]) -> int:
-    if not rows:
-        return 0
-    sol = solve_linear(field, rows, [field.zero] * len(rows))
-    return len(rows[0]) - len(sol.nullspace)
 
 
 def char_poly(field: Field, m: list[list]) -> UniPoly:

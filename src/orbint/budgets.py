@@ -1,13 +1,23 @@
 """Resource budgets.
 
 The engine must fail loudly rather than hang, so every potentially explosive
-computation (pair queues, term counts, factorization degree, descent ansatz)
-checks against a Budget.  A single module-level default is used when callers
-do not pass one; the CLI builds its own from flags.
+computation (pair queues, term counts, factorization degree, descent ansatz,
+separation retries, group closure) checks against a Budget.
+
+There is one budget per command.  `using(budget)` installs it for the calls
+made inside a `with` block and `current()` reads it; outside any block the
+default `Budget()` applies.  The CLI installs the budget built from its flags
+while it parses the scene, and `cli.run(..., budget=)` installs its argument
+around every scene command, so the budget echoed in a report header is the
+one every check saw.  The kernels `buchberger`, `normal_form_list`,
+`factor_univariate`, `enumerate_group` and `trace_form` also take an
+explicit budget for a single call; None means `current()`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 
@@ -22,3 +32,21 @@ class Budget:
 
 
 DEFAULT = Budget()
+
+_CURRENT: ContextVar[Budget] = ContextVar("orbint_budget", default=DEFAULT)
+
+
+def current() -> Budget:
+    """The budget installed by the innermost `using` block, else DEFAULT."""
+    return _CURRENT.get()
+
+
+@contextmanager
+def using(budget: Budget):
+    """Install `budget` for the block; the previous one is restored on exit,
+    also when the block raises."""
+    token = _CURRENT.set(budget)
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)

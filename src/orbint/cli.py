@@ -1,10 +1,11 @@
 """Command dispatcher and report emitter.
 
-`run(scene, seed, budget)` executes the scene's commands in order and builds
-a report that is byte-identical for identical (scene, seed, budgets): every
-command draws from its own generator seeded by (seed, command index), all
-printing goes through canonical representations, and the structured
-rendering is JSON with sorted keys.
+`run(scene, seed, budget)` executes the scene's commands in order, each under
+the one budget echoed in the header, and builds a report that is
+byte-identical for identical (scene, seed, budgets): every command draws from
+its own generator seeded by (seed, command index), all printing goes through
+canonical representations, and the structured rendering is JSON with sorted
+keys.
 
 Exit codes: 0 when every command succeeded and all verifications passed,
 1 when a verification failed, 2 when any command hit an engine error.
@@ -20,6 +21,7 @@ import random
 import sys
 import warnings
 
+from . import budgets
 from .budgets import DEFAULT, Budget
 from .cycle import (conservation_check, f_product, intersect_model, is_proper,
                     principal_divisor, pullback, pullback_along_map,
@@ -32,8 +34,11 @@ from .verify import GLOBAL_SUITES, SUITES
 _STATUS_CODE = {"ok": 0, "fail": 1, "error": 2}
 
 
-def run(scene: Scene, seed: int = 0, budget: Budget = DEFAULT) -> tuple[dict, int]:
-    """Execute a scene; returns (report, exit_code)."""
+def run(scene: Scene, seed: int = 0,
+        budget: Budget | None = None) -> tuple[dict, int]:
+    """Execute a scene; returns (report, exit_code).  Every command runs
+    under `budget`, by default the installed one."""
+    budget = budget or budgets.current()
     values = {name: cyc for name, (_, cyc) in scene.cycles.items()
               if cyc is not None}
     entries = []
@@ -41,10 +46,11 @@ def run(scene: Scene, seed: int = 0, budget: Budget = DEFAULT) -> tuple[dict, in
     for idx, cmd in enumerate(scene.commands):
         rng = random.Random(f"{seed}:{idx}")
         entry = {"line": cmd.line, "command": cmd.raw or cmd.verb}
-        with warnings.catch_warnings(record=True) as caught:
+        with (budgets.using(budget),
+              warnings.catch_warnings(record=True) as caught):
             warnings.simplefilter("always")
             try:
-                status, result = _execute(scene, values, cmd, rng, budget)
+                status, result = _execute(scene, values, cmd, rng)
             except OrbintError as exc:
                 status, result = "error", f"{type(exc).__name__}: {exc}"
             except Exception as exc:  # never crash on a scene input
@@ -81,14 +87,14 @@ def _store(values, into, cycle):
         values[into] = cycle
 
 
-def _execute(scene: Scene, values, cmd: Command, rng, budget: Budget):
+def _execute(scene: Scene, values, cmd: Command, rng):
     verb, a = cmd.verb, cmd.args
     if verb == "show":
         return "ok", repr(_cycle_value(values, a["x"]))
     if verb == "intersect":
         x = _cycle_value(values, a["x"])
         y = _cycle_value(values, a["y"])
-        out = intersect_model(x.model, x, y, rng, budget)
+        out = intersect_model(x.model, x, y, rng)
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "pullback":
@@ -104,44 +110,42 @@ def _execute(scene: Scene, values, cmd: Command, rng, budget: Budget):
                         f"({rep.reason}); codims ({rep.codim_x}, {rep.codim_y})")
     if verb == "pullback_map":
         fmap = scene.maps[a["map"]]
-        out = pullback_along_map(fmap, _cycle_value(values, a["x"]), rng, budget)
+        out = pullback_along_map(fmap, _cycle_value(values, a["x"]), rng)
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "push_map":
         fmap = scene.maps[a["map"]]
-        out = pushforward_along_map(fmap, _cycle_value(values, a["x"]), rng,
-                                    budget)
+        out = pushforward_along_map(fmap, _cycle_value(values, a["x"]), rng)
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "fproduct":
         fmap = scene.maps[a["map"]]
         out = f_product(fmap, _cycle_value(values, a["x"]),
-                        _cycle_value(values, a["y"]), rng, budget)
+                        _cycle_value(values, a["y"]), rng)
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "specialize":
         fam = scene.families[a["family"]]
-        out = specialize(fam, a["value"], rng, budget)
+        out = specialize(fam, a["value"], rng)
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "conserve":
         fx = scene.families.get(a["x"]) or _cycle_value(values, a["x"])
         fy = scene.families.get(a["y"]) or _cycle_value(values, a["y"])
-        rep = conservation_check(fx, fy, a["samples"], rng, budget)
+        rep = conservation_check(fx, fy, a["samples"], rng)
         body = ", ".join("none" if t is None else str(t) for t in rep.totals)
         status = "ok" if rep.conserved else "fail"
         return status, f"totals [{body}] conserved={rep.conserved}"
     if verb == "trace":
         model = scene.models[a["model"]]
-        out = trace_form(model, a["form"], denominators=a.get("denominators"),
-                         budget=budget)
+        out = trace_form(model, a["form"], denominators=a.get("denominators"))
         return "ok", repr(out)
     if verb == "qpull":
         model = scene.models[a["model"]]
         return "ok", repr(q_pullback(model, a["form"]))
     if verb == "direct_factor":
         model = scene.models[a["model"]]
-        rows = verify_direct_factor(model, a["forms"], budget=budget)
+        rows = verify_direct_factor(model, a["forms"])
         lines = [f"{form!r}: {'pass' if ok else 'FAIL'}" for form, ok in rows]
         status = "ok" if all(ok for _, ok in rows) else "fail"
         return status, "; ".join(lines)
@@ -154,9 +158,9 @@ def _execute(scene: Scene, values, cmd: Command, rng, budget: Budget):
         suite = a["suite"]
         if suite in SUITES:
             model = scene.models[a["model"]]
-            result = SUITES[suite](model, a["count"], rng, budget)
+            result = SUITES[suite](model, a["count"], rng)
         else:
-            result = GLOBAL_SUITES[suite](a["count"], rng, budget)
+            result = GLOBAL_SUITES[suite](a["count"], rng)
         return ("ok" if result.passed else "fail"), result.line()
     raise OrbintError(f"unhandled command {verb!r}")  # pragma: no cover
 
@@ -198,11 +202,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        scene = parse_scene(text, budget)
-    except SceneError as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
-        return 2
+    with budgets.using(budget):
+        try:
+            scene = parse_scene(text)
+        except SceneError as exc:
+            print(f"scene error: {exc}", file=sys.stderr)
+            return 2
+        except OrbintError as exc:
+            print(f"scene error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     report, code = run(scene, seed=opts.seed, budget=budget)
     out = render_json(report) if opts.format == "json" else render_text(report)
     sys.stdout.write(out)

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import char_poly, factor_univariate
-from .budgets import DEFAULT, Budget
+from . import budgets
 from .errors import (NonCMWarning, NotEquidimensional, NotFiniteOnSupport,
-                     NotProper, PositiveDimensionalIntersection,
+                     NotProper, NotZeroDimensional,
+                     PositiveDimensionalIntersection,
                      SampleDisagreement, SeparationFailure,
                      SpecializationDegenerate, UnsupportedPreimageShape)
 from .group import act, act_ideal, inertia_group
@@ -356,8 +357,7 @@ def is_proper(model: LocalModel, x: DownstairsCycle,
 # zero-dimensional cluster splitting (eigenvalue method)
 # ---------------------------------------------------------------------------
 
-def split_clusters(ideal: Ideal, rng: random.Random,
-                   budget: Budget = DEFAULT) -> list[PointCluster]:
+def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
     """Split a zero-dimensional algebra into point clusters.
 
     Draws a random linear form ell, factors the characteristic polynomial of
@@ -371,7 +371,8 @@ def split_clusters(ideal: Ideal, rng: random.Random,
     basis = ideal.quotient_basis()
     total = len(basis)
     last_error = "no attempt made"
-    for attempt in range(budget.separation_retries):
+    retries = budgets.current().separation_retries
+    for attempt in range(retries):
         bound = 2 + attempt
         coeffs = [rng.randint(-bound, bound) for _ in range(ideal.n)]
         if not any(coeffs):
@@ -381,10 +382,7 @@ def split_clusters(ideal: Ideal, rng: random.Random,
                          for i, c in enumerate(coeffs) if c})
         matrix = ideal.multiplication_matrix(ell)
         chi = char_poly(field, matrix)
-        try:
-            factors = factor_univariate(chi, budget)
-        except Exception as exc:  # DegreeTooLarge propagates meaningfully
-            raise
+        factors = factor_univariate(chi)
         clusters = []
         consistent = True
         for p, e in factors:
@@ -392,10 +390,10 @@ def split_clusters(ideal: Ideal, rng: random.Random,
             for i, c in enumerate(p.coeffs):
                 p_of_ell = p_of_ell + (ell ** i) * c
             carved = Ideal(field, ideal.vars,
-                           list(ideal.gens) + [p_of_ell], ideal.budget)
+                           list(ideal.gens) + [p_of_ell])
             maximal = carved.radical_zero_dim()
             r = len(Ideal(field, ideal.vars,
-                          list(maximal.gens), ideal.budget).quotient_basis())
+                          list(maximal.gens)).quotient_basis())
             if r != p.degree:
                 consistent = False
                 last_error = (f"linear form {ell!r} gave residue degree {r} "
@@ -409,7 +407,7 @@ def split_clusters(ideal: Ideal, rng: random.Random,
             continue
         return clusters
     raise SeparationFailure(
-        f"no separating linear form within {budget.separation_retries} retries: "
+        f"no separating linear form within {retries} retries: "
         + last_error)
 
 
@@ -420,7 +418,7 @@ def certified_prime_component(ideal: Ideal) -> Ideal | None:
     The zero ideal (the whole space) qualifies trivially."""
     gb = ideal.groebner()
     if not gb:
-        return Ideal(ideal.field, ideal.vars, [], ideal.budget)
+        return Ideal(ideal.field, ideal.vars, [])
     solved = set()
     for g in gb:
         lm, _ = g.leading(GREVLEX)
@@ -430,11 +428,11 @@ def certified_prime_component(ideal: Ideal) -> Ideal | None:
         if vidx in solved:
             return None
         solved.add(vidx)
-    return Ideal(ideal.field, ideal.vars, list(gb), ideal.budget)
+    return Ideal(ideal.field, ideal.vars, list(gb))
 
 
-def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle, rng: random.Random,
-                       budget: Budget = DEFAULT) -> list[ClusterTerm]:
+def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
+                       rng: random.Random) -> list[ClusterTerm]:
     """Bilinear intersection of upstairs cycles on the smooth cover.
 
     Zero-dimensional pair sums are split into point clusters whose
@@ -475,7 +473,7 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle, rng: random.Random,
             if d != expected:
                 raise NotProper(f"components meet in dimension {d}, expected {expected}")
             if expected == 0:
-                for cluster in split_clusters(s, rng, budget):
+                for cluster in split_clusters(s, rng):
                     key = cluster.ideal.canonical_key()
                     accum[key] = accum.get(key, Fraction(0)) \
                         + cp * cq * cluster.multiplicity
@@ -497,8 +495,7 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle, rng: random.Random,
 
 
 def intersect_model(model: LocalModel, x: DownstairsCycle, y: DownstairsCycle,
-                    rng: random.Random | None = None,
-                    budget: Budget = DEFAULT) -> DownstairsCycle:
+                    rng: random.Random | None = None) -> DownstairsCycle:
     """The rational intersection product (1/k) q_*(q*X . q*Y)."""
     rng = rng or random.Random(0)
     report = is_proper(model, x, y)
@@ -506,8 +503,7 @@ def intersect_model(model: LocalModel, x: DownstairsCycle, y: DownstairsCycle,
         raise NotProper(report.reason)
     if x.is_empty() or y.is_empty():
         return DownstairsCycle.empty(model)
-    terms = intersect_upstairs(pullback(model, x), pullback(model, y),
-                               rng, budget)
+    terms = intersect_upstairs(pullback(model, x), pullback(model, y), rng)
     comps = []
     for term in terms:
         orbit = OrbitClass.of(model, term.ideal)
@@ -532,8 +528,8 @@ def principal_divisor(model: LocalModel, h: MultiPoly) -> DownstairsCycle:
     if up.is_constant():
         return DownstairsCycle.empty(model)
     comps = []
-    for factor, exponent in mp_factor(up, model.budget):
-        prime = Ideal(model.field, model.uvars, [factor], model.budget)
+    for factor, exponent in mp_factor(up):
+        prime = Ideal(model.field, model.uvars, [factor])
         comps.append((prime, Fraction(exponent)))
     upstairs = UpstairsCycle(model.field, model.uvars, comps)
     return pushforward(model, upstairs).scale(Fraction(1, model.k))
@@ -610,8 +606,7 @@ class ModelMap:
         images = dict(zip(self.target.uvars, self.components))
         gens = [g.substitute(images) for g in q.gens]
         return Ideal(self.source.field, self.source.uvars,
-                     [g for g in gens if not g.is_zero()],
-                     self.source.budget)
+                     [g for g in gens if not g.is_zero()])
 
     def image_ideal(self, p: Ideal) -> Ideal:
         """Closure of the image of V(p) upstairs, by elimination through the
@@ -622,7 +617,7 @@ class ModelMap:
         for tv, comp in zip(tgt, self.components):
             gens.append(MultiPoly.var(self.source.field, joint, tv)
                         - comp.embed(joint))
-        big = Ideal(self.source.field, joint, gens, self.source.budget)
+        big = Ideal(self.source.field, joint, gens)
         elim = big.eliminate(list(tgt))
         rename = dict(zip(tgt, self.target.uvars))
         out = []
@@ -632,8 +627,7 @@ class ModelMap:
                                   MultiPoly(g.field,
                                             tuple(rename[v] for v in g.vars),
                                             dict(g.terms)).terms.items()}))
-        return Ideal(self.target.field, self.target.uvars, out,
-                     self.target.budget)
+        return Ideal(self.target.field, self.target.uvars, out)
 
     def __repr__(self):
         return (f"ModelMap({self.name}: {self.source.name} -> "
@@ -641,8 +635,7 @@ class ModelMap:
 
 
 def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
-                       rng: random.Random | None = None,
-                       budget: Budget = DEFAULT) -> DownstairsCycle:
+                       rng: random.Random | None = None) -> DownstairsCycle:
     """The cycle M ._f Y: upstairs preimage with multiplicities, pushed
     through the source group and normalized by 1/deg(source quotient).
 
@@ -657,7 +650,7 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
     if y.model is not fmap.target:
         raise ValueError("cycle lives on the wrong model")
     upstream = pullback(fmap.target, y)
-    img = fmap.image_ideal(Ideal(src.field, src.uvars, [], src.budget))
+    img = fmap.image_ideal(Ideal(src.field, src.uvars, []))
     img_dim = img.dimension() if not img.is_unit() else -1
     fib_dim = src.n - img_dim
     comps: list[tuple[Ideal, Fraction]] = []
@@ -665,7 +658,7 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
     for q, c in upstream.components:
         if q.is_zero_ideal():
             # the fundamental cycle pulls back to the fundamental cycle
-            comps.append((Ideal(src.field, src.uvars, [], src.budget), c))
+            comps.append((Ideal(src.field, src.uvars, []), c))
             dims.add(src.n)
             continue
         j = fmap.preimage_ideal(q)
@@ -684,12 +677,12 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
             raise NotEquidimensional(
                 f"preimage has dimension {actual}, expected {expected}")
         if len(gb) == 1 and actual == src.n - 1:
-            for factor, exponent in mp_factor(gb[0], budget):
-                prime = Ideal(src.field, src.uvars, [factor], src.budget)
+            for factor, exponent in mp_factor(gb[0]):
+                prime = Ideal(src.field, src.uvars, [factor])
                 comps.append((prime, c * exponent))
                 dims.add(src.n - 1)
         elif actual == 0:
-            for cluster in split_clusters(j, rng, budget):
+            for cluster in split_clusters(j, rng):
                 comps.append((cluster.ideal, c * cluster.multiplicity))
                 dims.add(0)
         else:
@@ -705,17 +698,15 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
 
 
 def f_product(fmap: ModelMap, x: DownstairsCycle, y: DownstairsCycle,
-              rng: random.Random | None = None,
-              budget: Budget = DEFAULT) -> DownstairsCycle:
+              rng: random.Random | None = None) -> DownstairsCycle:
     """X ._f Y computed through X .(M ._f Y) on the source model."""
     rng = rng or random.Random(0)
-    mfy = pullback_along_map(fmap, y, rng, budget)
-    return intersect_model(fmap.source, x, mfy, rng, budget)
+    mfy = pullback_along_map(fmap, y, rng)
+    return intersect_model(fmap.source, x, mfy, rng)
 
 
 def pushforward_along_map(fmap: ModelMap, x: DownstairsCycle,
-                          rng: random.Random | None = None,
-                          budget: Budget = DEFAULT) -> DownstairsCycle:
+                          rng: random.Random | None = None) -> DownstairsCycle:
     """f_* : image class times the mapping degree of f on each component.
 
     The degree is the ratio of upstairs to downstairs fibre-algebra
@@ -766,14 +757,14 @@ def _mapping_degree(fmap: ModelMap, p: Ideal, q: Ideal,
             lin = MultiPoly.var(q.field, q.vars, v) - MultiPoly.const(q.field, q.vars, a)
             down_gens.append(lin)
             up_gens.append(lin.substitute(images))
-        down = Ideal(q.field, q.vars, down_gens, q.budget)
-        up = Ideal(p.field, p.vars, up_gens, p.budget)
+        down = Ideal(q.field, q.vars, down_gens)
+        up = Ideal(p.field, p.vars, up_gens)
         if down.is_unit() or up.is_unit():
             continue
         try:
             nd = len(down.quotient_basis())
             nu = len(up.quotient_basis())
-        except Exception:
+        except NotZeroDimensional:
             continue
         if nd == 0 or nu % nd:
             continue
@@ -836,8 +827,7 @@ class CycleFamily:
     def _nominal_dimension(self) -> int:
         dims = set()
         for gens, _ in self.components:
-            j = Ideal(self.model.field, self.ring, list(gens),
-                      self.model.budget)
+            j = Ideal(self.model.field, self.ring, list(gens))
             dims.add(j.dimension() - 1)
         if len(dims) != 1:
             raise ValueError("family components of mixed generic dimension")
@@ -868,7 +858,7 @@ class CycleFamily:
                 members = [g for g in members if not g.is_zero()]
                 if not members:
                     continue
-                j = Ideal(model.field, model.uvars, members, model.budget)
+                j = Ideal(model.field, model.uvars, members)
                 if j.is_unit():
                     continue
                 keys = {act_ideal(model.group, el, j).canonical_key()
@@ -881,8 +871,8 @@ class CycleFamily:
         return tuple(out)
 
 
-def specialize(family: CycleFamily, value, rng: random.Random | None = None,
-               budget: Budget = DEFAULT) -> DownstairsCycle:
+def specialize(family: CycleFamily, value,
+               rng: random.Random | None = None) -> DownstairsCycle:
     """Member of the family at a rational parameter value.
 
     The member is assembled from all |G| group translates of the specialized
@@ -910,7 +900,7 @@ def specialize(family: CycleFamily, value, rng: random.Random | None = None,
                 f"family member at {value} is the whole space")
         for el in model.group:
             tgens = [act(model.group, el, g) for g in members]
-            j = Ideal(model.field, model.uvars, tgens, model.budget)
+            j = Ideal(model.field, model.uvars, tgens)
             if j.is_unit():
                 raise SpecializationDegenerate(
                     f"family member at {value} is empty")
@@ -921,12 +911,11 @@ def specialize(family: CycleFamily, value, rng: random.Random | None = None,
                     f"dimension jump at {value}: {d} vs nominal "
                     f"{family.nominal_dim}")
             if len(gb) == 1 and d == model.n - 1:
-                for factor, exponent in mp_factor(gb[0], budget):
-                    prime = Ideal(model.field, model.uvars, [factor],
-                                  model.budget)
+                for factor, exponent in mp_factor(gb[0]):
+                    prime = Ideal(model.field, model.uvars, [factor])
                     total.append((prime, coeff * exponent))
             elif d == 0:
-                for cluster in split_clusters(j, rng, budget):
+                for cluster in split_clusters(j, rng):
                     total.append((cluster.ideal, coeff * cluster.multiplicity))
             else:
                 comp = certified_prime_component(j)
@@ -964,8 +953,7 @@ class ConservationReport:
 
 
 def conservation_check(fam_x, fam_y, samples,
-                       rng: random.Random | None = None,
-                       budget: Budget = DEFAULT) -> ConservationReport:
+                       rng: random.Random | None = None) -> ConservationReport:
     """Total intersection numbers of X_s . Y_s across parameter samples.
 
     Either argument may be a CycleFamily or a fixed DownstairsCycle.  A
@@ -981,13 +969,13 @@ def conservation_check(fam_x, fam_y, samples,
     def member(fam, s):
         if isinstance(fam, DownstairsCycle):
             return fam
-        return specialize(fam, s, rng, budget)
+        return specialize(fam, s, rng)
 
     for s in svals:
         try:
             xs = member(fam_x, s)
             ys = member(fam_y, s)
-            prod = intersect_model(model, xs, ys, rng, budget)
+            prod = intersect_model(model, xs, ys, rng)
             totals.append(total_intersection_number(prod))
             errors.append("")
         except (NotProper, SpecializationDegenerate) as exc:

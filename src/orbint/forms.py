@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import budgets
 from .arith import solve_linear
-from .budgets import DEFAULT, Budget
+from .budgets import Budget
 from .errors import (AnsatzExhausted, ChartMismatch,
                      DenominatorVanishesIdentically)
-from .group import act
 from .poly import GREVLEX, MultiPoly, RationalFn
 from .quotient import LocalModel, express_in_invariants, norm_polynomial
 
@@ -303,7 +303,7 @@ def default_denominators(model: LocalModel) -> list[MultiPoly]:
 
 def trace_form(model: LocalModel, omega: DiffForm,
                denominators: list[MultiPoly] | None = None,
-               budget: Budget = DEFAULT) -> DiffForm:
+               budget: Budget | None = None) -> DiffForm:
     """Trace of an upstairs form: the downstairs form alpha with
     q^(alpha) = sum_g g.omega, found by exact linear algebra.
 
@@ -329,13 +329,14 @@ def trace_form(model: LocalModel, omega: DiffForm,
             alpha = DiffForm.function(RationalFn(down))
             if q_pullback(model, alpha) == omega_sym:
                 return alpha
+    max_degree = (budget or budgets.current()).ansatz_degree
     tuples = list(itertools.combinations(range(len(model.yvars)), p))
     pulled_basis = {}
     for t in tuples:
         basis_form = DiffForm(field, model.yvars, p,
                               {t: RationalFn(MultiPoly.const(field, model.yvars, 1))})
         pulled_basis[t] = q_pullback(model, basis_form)
-    for bound in range(budget.ansatz_degree + 1):
+    for bound in range(max_degree + 1):
         monomials = _monomials_up_to(field, model.yvars, bound)
         for den in dens:
             alpha = _solve_single_denominator(model, omega_sym, tuples,
@@ -343,7 +344,7 @@ def trace_form(model: LocalModel, omega: DiffForm,
             if alpha is not None:
                 return alpha
     raise AnsatzExhausted(
-        f"no descent with numerator degree <= {budget.ansatz_degree} and "
+        f"no descent with numerator degree <= {max_degree} and "
         f"denominators {[repr(d) for d in dens]}", residual=omega_sym)
 
 
@@ -436,12 +437,12 @@ def _solve_single_denominator(model, omega_sym, tuples, pulled_basis,
     return None
 
 
-def verify_direct_factor(model: LocalModel, samples: list[DiffForm],
-                         budget: Budget = DEFAULT) -> list[tuple[DiffForm, bool]]:
+def verify_direct_factor(model: LocalModel,
+                         samples: list[DiffForm]) -> list[tuple[DiffForm, bool]]:
     """Check trace(q^(alpha)) = k.alpha for each downstairs sample."""
     out = []
     for alpha in samples:
-        traced = trace_form(model, q_pullback(model, alpha), budget=budget)
+        traced = trace_form(model, q_pullback(model, alpha))
         ok = downstairs_equal(model, traced, alpha.scale(Fraction(model.k)))
         out.append((alpha, ok))
     return out

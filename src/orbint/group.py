@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Field, UniPoly, determinant
-from .budgets import DEFAULT, Budget
+from . import budgets
+from .arith import Field, UniPoly, _bareiss_det_poly, determinant
+from .budgets import Budget
 from .errors import NotFaithful, NotFinite
 from .poly import Ideal, MultiPoly
 
@@ -71,7 +72,7 @@ def _freeze(field, matrix):
 
 
 def enumerate_group(field: Field, generators: list,
-                    budget: Budget = DEFAULT) -> FiniteMatrixGroup:
+                    budget: Budget | None = None) -> FiniteMatrixGroup:
     """Closure enumeration of the group generated by invertible matrices.
 
     Raises NotFinite when the closure passes the configured bound and
@@ -88,6 +89,7 @@ def enumerate_group(field: Field, generators: list,
             raise ValueError("generators must be square matrices of equal size")
         if not determinant(field, [list(r) for r in g]):
             raise ValueError("generator matrix is singular")
+    bound = (budget or budgets.current()).group_bound
     ident = _identity(field, n)
     seen = {ident}
     ordered = [ident]
@@ -97,8 +99,8 @@ def enumerate_group(field: Field, generators: list,
         for g in gens:
             nxt = _mat_mul(field, current, g)
             if nxt not in seen:
-                if len(seen) >= budget.group_bound:
-                    raise NotFinite(f"group closure exceeded {budget.group_bound}")
+                if len(seen) >= bound:
+                    raise NotFinite(f"group closure exceeded {bound}")
                 seen.add(nxt)
                 ordered.append(nxt)
                 frontier.append(nxt)
@@ -150,7 +152,7 @@ def act(group: FiniteMatrixGroup, element, f: MultiPoly) -> MultiPoly:
 
 def act_ideal(group: FiniteMatrixGroup, element, ideal: Ideal) -> Ideal:
     return Ideal(ideal.field, ideal.vars,
-                 [act(group, element, g) for g in ideal.gens], ideal.budget)
+                 [act(group, element, g) for g in ideal.gens])
 
 
 def reynolds(group: FiniteMatrixGroup, f: MultiPoly) -> MultiPoly:
@@ -181,7 +183,7 @@ def molien(group: FiniteMatrixGroup, degree_bound: int) -> list[int]:
                 const = field.one if i == j else field.zero
                 row.append(UniPoly(field, [const, -el[i][j]]))
             rows.append(row)
-        det = _poly_det(field, rows)
+        det = _bareiss_det_poly(rows)
         inv = _series_inverse(det, terms)
         for k in range(terms):
             total[k] = total[k] + inv[k]
@@ -193,22 +195,6 @@ def molien(group: FiniteMatrixGroup, degree_bound: int) -> list[int]:
             raise ArithmeticError("Molien coefficient not an integer")
         out.append(int(q))
     return out
-
-
-def _poly_det(field, rows: list[list[UniPoly]]) -> UniPoly:
-    """Cofactor determinant of a small matrix of univariate polynomials."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = UniPoly.zero(field)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j]
-                 for i in range(1, n)]
-        term = rows[0][j] * _poly_det(field, minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 def _series_inverse(p: UniPoly, terms: int) -> list:

@@ -16,7 +16,8 @@ import itertools
 from fractions import Fraction
 
 from .arith import Field, UniPoly, factor_univariate, squarefree_decomposition
-from .budgets import DEFAULT, Budget
+from . import budgets
+from .budgets import Budget
 from .errors import EffortExceeded, NotZeroDimensional, UnitIdeal
 
 Monomial = tuple[int, ...]
@@ -346,10 +347,11 @@ class MultiPoly:
 
 def normal_form_list(f: MultiPoly, divisors: list[MultiPoly],
                      order: TermOrder = GREVLEX,
-                     budget: Budget = DEFAULT) -> MultiPoly:
+                     budget: Budget | None = None) -> MultiPoly:
     """Full remainder of f on division by the divisor list."""
     if f.is_zero() or not divisors:
         return f
+    budget = budget or budgets.current()
     divs = []
     for g in divisors:
         if not g.is_zero():
@@ -393,7 +395,7 @@ def _spoly(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
 
 
 def buchberger(gens: list[MultiPoly], order: TermOrder = GREVLEX,
-               budget: Budget = DEFAULT) -> list[MultiPoly]:
+               budget: Budget | None = None) -> list[MultiPoly]:
     """Reduced Groebner basis, deterministic for a given generating set.
 
     Normal selection strategy; new pairs filtered with the product and chain
@@ -404,6 +406,7 @@ def buchberger(gens: list[MultiPoly], order: TermOrder = GREVLEX,
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
+    budget = budget or budgets.current()
     field, variables = gens[0].field, gens[0].vars
 
     # inter-reduce the input until stable
@@ -512,14 +515,13 @@ class Ideal:
     """
 
     def __init__(self, field: Field, variables: tuple[str, ...],
-                 gens, budget: Budget = DEFAULT):
+                 gens):
         self.field = field
         self.vars = tuple(variables)
         self.gens = tuple(g for g in gens if not g.is_zero())
         for g in self.gens:
             if g.vars != self.vars:
                 raise ValueError("generator in wrong ring")
-        self.budget = budget
         self._gb: dict[TermOrder, tuple[MultiPoly, ...]] = {}
 
     @property
@@ -529,12 +531,12 @@ class Ideal:
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[MultiPoly, ...]:
         cached = self._gb.get(order)
         if cached is None:
-            cached = tuple(buchberger(list(self.gens), order, self.budget))
+            cached = tuple(buchberger(list(self.gens), order))
             self._gb[order] = cached
         return cached
 
     def normal_form(self, f: MultiPoly, order: TermOrder = GREVLEX) -> MultiPoly:
-        return normal_form_list(f, list(self.groebner(order)), order, self.budget)
+        return normal_form_list(f, list(self.groebner(order)), order)
 
     def contains(self, f: MultiPoly) -> bool:
         return self.normal_form(f).is_zero()
@@ -565,7 +567,7 @@ class Ideal:
     def __add__(self, other: "Ideal") -> "Ideal":
         if self.vars != other.vars:
             raise ValueError("ideal sum across different rings")
-        return Ideal(self.field, self.vars, self.gens + other.gens, self.budget)
+        return Ideal(self.field, self.vars, self.gens + other.gens)
 
     # -- geometry ------------------------------------------------------------
 
@@ -643,14 +645,14 @@ class Ideal:
                             for m, c in g.terms.items()})
                  for g in self.gens]
         order = TermOrder("block", split=len(drop))
-        gb = buchberger(moved, order, self.budget)
+        gb = buchberger(moved, order)
         kept_vars = tuple(keep_order)
         kept = []
         for g in gb:
             if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
                 kept.append(MultiPoly(self.field, kept_vars,
                                       {m[len(drop):]: c for m, c in g.terms.items()}))
-        return Ideal(self.field, kept_vars, kept, self.budget)
+        return Ideal(self.field, kept_vars, kept)
 
     def saturate(self, f: MultiPoly) -> "Ideal":
         """I : f^infinity via the Rabinowitsch-variable construction."""
@@ -663,10 +665,10 @@ class Ideal:
         gens = [g.embed(new_vars) for g in self.gens]
         w = MultiPoly.var(self.field, new_vars, aux)
         gens.append(w * f.embed(new_vars) - 1)
-        big = Ideal(self.field, new_vars, gens, self.budget)
+        big = Ideal(self.field, new_vars, gens)
         elim = big.eliminate(list(self.vars))
         return Ideal(self.field, self.vars,
-                     [g.embed(self.vars) for g in elim.gens], self.budget)
+                     [g.embed(self.vars) for g in elim.gens])
 
     def radical_zero_dim(self) -> "Ideal":
         """Radical of a zero-dimensional ideal (squarefree minimal
@@ -684,7 +686,7 @@ class Ideal:
             for k, c in enumerate(sq.coeffs):
                 poly = poly + (xv ** k) * c
             extra.append(poly)
-        return Ideal(self.field, self.vars, list(self.gens) + extra, self.budget)
+        return Ideal(self.field, self.vars, list(self.gens) + extra)
 
     def minimal_polynomial_of(self, f: MultiPoly) -> UniPoly:
         """Minimal polynomial of f acting on the zero-dimensional quotient."""
@@ -729,16 +731,6 @@ def _coeffs_in(p: MultiPoly, idx: int) -> list[MultiPoly]:
         mm[idx] = 0
         cols[e][tuple(mm)] = c
     return [MultiPoly(p.field, p.vars, col) for col in cols]
-
-
-def _from_coeffs_in(field, variables, idx: int, cols: list[MultiPoly]) -> MultiPoly:
-    out: dict = {}
-    for e, col in enumerate(cols):
-        for m, c in col.terms.items():
-            mm = list(m)
-            mm[idx] += e
-            out[tuple(mm)] = c
-    return MultiPoly(field, variables, out)
 
 
 def poly_div_exact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
@@ -866,7 +858,7 @@ def mp_squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     return parts
 
 
-def mp_factor(p: MultiPoly, budget: Budget = DEFAULT) -> list[tuple[MultiPoly, int]]:
+def mp_factor(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Factor a multivariate polynomial into irreducibles with exponents.
 
     Monomial content is split off first, then squarefree parts, then each
@@ -890,13 +882,19 @@ def mp_factor(p: MultiPoly, budget: Budget = DEFAULT) -> list[tuple[MultiPoly, i
     if p.is_constant():
         return out
     for part, mult in mp_squarefree_parts(p):
-        for fac in _kronecker_split(part, budget):
+        for fac in _kronecker_split(part):
             out.append((fac, mult))
     out.sort(key=lambda fm: (fm[0].total_degree(), fm[0].sort_key()))
     return out
 
 
-def _kronecker_split(p: MultiPoly, budget: Budget) -> list[MultiPoly]:
+def _exempt_degree(image: UniPoly) -> Budget:
+    """A budget that `image` passes: mp_factor is exempt from
+    `degree_bound`, which bounds only the eigenvalue method's factoring."""
+    return Budget(degree_bound=image.degree)
+
+
+def _kronecker_split(p: MultiPoly) -> list[MultiPoly]:
     """Irreducible factors of a squarefree p via Kronecker substitution."""
     used = sorted(p.support_vars())
     if not used:
@@ -905,11 +903,9 @@ def _kronecker_split(p: MultiPoly, budget: Budget) -> list[MultiPoly]:
         v = used[0]
         coeffs = [c.constant_value() for c in _coeffs_in(p, v)]
         uni = UniPoly(p.field, coeffs)
-        internal = Budget(degree_bound=max(budget.degree_bound, uni.degree + 1),
-                          max_pairs=budget.max_pairs, max_terms=budget.max_terms)
         out = []
         xv = MultiPoly.var(p.field, p.vars, p.vars[v])
-        for fac, mult in factor_univariate(uni, internal):
+        for fac, mult in factor_univariate(uni, _exempt_degree(uni)):
             mpf = MultiPoly.zero(p.field, p.vars)
             for k, c in enumerate(fac.coeffs):
                 mpf = mpf + (xv ** k) * c
@@ -943,10 +939,8 @@ def _kronecker_split(p: MultiPoly, budget: Budget) -> list[MultiPoly]:
         return MultiPoly(p.field, p.vars, terms)
 
     img = image(p)
-    internal = Budget(degree_bound=max(budget.degree_bound, img.degree + 1),
-                      max_pairs=budget.max_pairs, max_terms=budget.max_terms)
     factors = []
-    for fac, mult in factor_univariate(img, internal):
+    for fac, mult in factor_univariate(img, _exempt_degree(img)):
         factors.extend([fac] * mult)
     if len(factors) > 16:
         raise EffortExceeded("Kronecker image has too many factors")

@@ -14,10 +14,9 @@ all reports deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .arith import Field, QQ, CyclotomicField, solve_linear
-from .budgets import DEFAULT, Budget
 from .errors import GenerationDeficit, NotInSubalgebra, NotInvariant
 from .group import FiniteMatrixGroup, act, enumerate_group, is_invariant, molien
 from .poly import Ideal, MultiPoly, TermOrder
@@ -43,7 +42,6 @@ class LocalModel:
     graph_order: TermOrder
     name: str = "model"
     audit: tuple[int, ...] = ()         # degrees with a generation deficit
-    budget: Budget = dc_field(default_factory=lambda: DEFAULT)
 
     @property
     def k(self) -> int:
@@ -77,9 +75,9 @@ class LocalModel:
         """Defining ideal downstairs of q(V(P)) (contains the relations)."""
         gens = [g.embed(self.graph_vars) for g in upstairs.gens]
         gens += list(self.graph.gens)
-        big = Ideal(self.field, self.graph_vars, gens, self.budget)
+        big = Ideal(self.field, self.graph_vars, gens)
         elim = big.eliminate(list(self.yvars))
-        return Ideal(self.field, self.yvars, list(elim.gens), self.budget)
+        return Ideal(self.field, self.yvars, list(elim.gens))
 
     def __repr__(self):
         return f"LocalModel({self.name}, k={self.k}, n={self.n})"
@@ -87,8 +85,7 @@ class LocalModel:
 
 def build_model(group: FiniteMatrixGroup, thetas: list[MultiPoly],
                 uvars: tuple[str, ...], yvars: tuple[str, ...] | None = None,
-                name: str = "model", audit_bound: int = 4,
-                budget: Budget = DEFAULT) -> LocalModel:
+                name: str = "model", audit_bound: int = 4) -> LocalModel:
     """Construct a local model from a group and invariant generators.
 
     Each theta must be G-invariant (NotInvariant names the first offender).
@@ -113,9 +110,9 @@ def build_model(group: FiniteMatrixGroup, thetas: list[MultiPoly],
     gens = []
     for y, th in zip(yvars, thetas):
         gens.append(MultiPoly.var(field, graph_vars, y) - th.embed(graph_vars))
-    graph = Ideal(field, graph_vars, gens, budget)
+    graph = Ideal(field, graph_vars, gens)
     elim = graph.eliminate(list(yvars))
-    relations = Ideal(field, yvars, list(elim.gens), budget)
+    relations = Ideal(field, yvars, list(elim.gens))
     if not relations.is_zero_ideal():
         dim = relations.dimension()
         if dim != len(uvars):
@@ -126,7 +123,7 @@ def build_model(group: FiniteMatrixGroup, thetas: list[MultiPoly],
                       GenerationDeficit)
     return LocalModel(field, group, tuple(uvars), tuple(thetas), tuple(yvars),
                       relations, graph, order, name=name,
-                      audit=tuple(deficits), budget=budget)
+                      audit=tuple(deficits))
 
 
 def _generation_audit(group, thetas, uvars, bound: int) -> list[int]:
@@ -221,42 +218,41 @@ def norm_polynomial(model: LocalModel, g: MultiPoly) -> MultiPoly:
 # catalog
 # ---------------------------------------------------------------------------
 
-def model_a1(budget: Budget = DEFAULT) -> LocalModel:
+def model_a1() -> LocalModel:
     """C^2 / {+-1}: invariants (u^2, v^2, uv), relations xy = z^2."""
-    group = enumerate_group(QQ, [[[-1, 0], [0, -1]]], budget)
+    group = enumerate_group(QQ, [[[-1, 0], [0, -1]]])
     uvars = ("u", "v")
     u = MultiPoly.var(QQ, uvars, "u")
     v = MultiPoly.var(QQ, uvars, "v")
     return build_model(group, [u * u, v * v, u * v], uvars,
-                       yvars=("x", "y", "z"), name="A1", budget=budget)
+                       yvars=("x", "y", "z"), name="A1")
 
 
-def model_a2(budget: Budget = DEFAULT) -> LocalModel:
+def model_a2() -> LocalModel:
     """C^2 / mu_3 with weights (1, 2): invariants (u^3, v^3, uv)."""
     K = CyclotomicField(3)
     z = K.generator
-    group = enumerate_group(K, [[[z, 0], [0, z * z]]], budget)
+    group = enumerate_group(K, [[[z, 0], [0, z * z]]])
     uvars = ("u", "v")
     u = MultiPoly.var(K, uvars, "u")
     v = MultiPoly.var(K, uvars, "v")
     return build_model(group, [u ** 3, v ** 3, u * v], uvars,
-                       yvars=("x", "y", "z"), name="A2", budget=budget)
+                       yvars=("x", "y", "z"), name="A2")
 
 
-def model_trivial(n: int, field: Field = QQ, budget: Budget = DEFAULT) -> LocalModel:
+def model_trivial(n: int, field: Field = QQ) -> LocalModel:
     """Identity group on C^n; the chart is its own model of degree 1."""
     ident = [[field.one if i == j else field.zero for j in range(n)]
              for i in range(n)]
-    group = enumerate_group(field, [ident], budget)
+    group = enumerate_group(field, [ident])
     uvars = tuple(f"t{i+1}" for i in range(n)) if n > 1 else ("t1",)
     thetas = [MultiPoly.var(field, uvars, v) for v in uvars]
     yvars = tuple(f"w{i+1}" for i in range(n))
     return build_model(group, thetas, uvars, yvars=yvars,
-                       name=f"trivial-{n}", budget=budget)
+                       name=f"trivial-{n}")
 
 
-def model_product(m1: LocalModel, m2: LocalModel,
-                  budget: Budget = DEFAULT) -> LocalModel:
+def model_product(m1: LocalModel, m2: LocalModel) -> LocalModel:
     """Block-diagonal product model with G = G1 x G2."""
     if m1.field != m2.field:
         raise ValueError("product factors must share a base field")
@@ -282,7 +278,7 @@ def model_product(m1: LocalModel, m2: LocalModel,
         moved = MultiPoly(field, tuple(rename2[v] for v in th.vars), dict(th.terms))
         thetas.append(moved.embed(uvars))
     return build_model(group, thetas, uvars, yvars=yvars,
-                       name=f"product({m1.name}, {m2.name})", budget=budget)
+                       name=f"product({m1.name}, {m2.name})")
 
 
 def _dedupe(names: tuple[str, ...], taken) -> tuple[str, ...]:
@@ -297,15 +293,15 @@ def _dedupe(names: tuple[str, ...], taken) -> tuple[str, ...]:
     return tuple(out)
 
 
-def catalog_model(name: str, budget: Budget = DEFAULT) -> LocalModel:
+def catalog_model(name: str) -> LocalModel:
     """Built-in models addressable by name in scene files."""
     name = name.strip()
     if name == "A1":
-        return model_a1(budget)
+        return model_a1()
     if name == "A2":
-        return model_a2(budget)
+        return model_a2()
     if name.startswith("trivial-"):
-        return model_trivial(int(name.split("-", 1)[1]), budget=budget)
+        return model_trivial(int(name.split("-", 1)[1]))
     if name.startswith("product(") and name.endswith(")"):
         inner = name[len("product("):-1]
         depth = 0
@@ -316,8 +312,7 @@ def catalog_model(name: str, budget: Budget = DEFAULT) -> LocalModel:
                 depth -= 1
             elif ch == "," and depth == 0:
                 left, right = inner[:i], inner[i + 1:]
-                return model_product(catalog_model(left.strip(), budget),
-                                     catalog_model(right.strip(), budget),
-                                     budget)
+                return model_product(catalog_model(left.strip()),
+                                     catalog_model(right.strip()))
         raise ValueError(f"malformed product model name {name!r}")
     raise ValueError(f"unknown catalog model {name!r}")

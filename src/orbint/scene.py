@@ -38,10 +38,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arith import QQ, CyclotomicField, Field
-from .budgets import DEFAULT, Budget
 from .cycle import CycleFamily, DownstairsCycle, ModelMap, split_clusters
 from .errors import ChartError, ParseError, SceneNameError
-from .forms import DiffForm
+from .forms import DiffForm, _sort_with_sign
 from .poly import Ideal, MultiPoly, RationalFn, mp_factor
 from .quotient import LocalModel, build_model, catalog_model
 from .group import enumerate_group
@@ -216,9 +215,9 @@ def parse_form(text: str, field: Field, variables: tuple[str, ...],
                     coeff_text = coeff_text[:-1].strip()
                 coeff = parse_rational_fn(coeff_text, field, variables, line) \
                     if coeff_text else RationalFn(MultiPoly.const(field, variables, 1))
-                sorted_idx, perm_sign = _sign_sort(idx)
+                sorted_idx, perm_sign = _sort_with_sign(idx)
                 term = DiffForm(field, variables, len(idx),
-                                {tuple(sorted_idx): coeff * perm_sign})
+                                {sorted_idx: coeff * perm_sign})
         else:
             coeff = parse_rational_fn(part, field, variables, line)
             term = DiffForm(field, variables, 0, {(): coeff})
@@ -230,18 +229,6 @@ def parse_form(text: str, field: Field, variables: tuple[str, ...],
     if acc is None:
         raise ParseError("empty form", line)
     return acc
-
-
-def _sign_sort(idx):
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    return lst, sign
 
 
 def _split_top_level(text: str, seps: str):
@@ -292,7 +279,7 @@ class Scene:
     commands: list[Command] = dc_field(default_factory=list)
 
 
-def parse_scene(text: str, budget: Budget = DEFAULT) -> Scene:
+def parse_scene(text: str) -> Scene:
     """Parse and build a scene; raises ParseError / SceneNameError /
     ChartError with line numbers on malformed input."""
     field: Field = QQ
@@ -310,9 +297,9 @@ def parse_scene(text: str, budget: Budget = DEFAULT) -> Scene:
             scene.field = _parse_field(rest, lineno)
             field_set = True
         elif head == "model":
-            _parse_model(scene, rest, lineno, budget)
+            _parse_model(scene, rest, lineno)
         elif head == "cycle":
-            _parse_cycle(scene, rest, lineno, budget)
+            _parse_cycle(scene, rest, lineno)
         elif head == "map":
             _parse_map(scene, rest, lineno)
         elif head == "family":
@@ -344,7 +331,7 @@ def _check_fresh(scene: Scene, name: str, lineno: int):
                                  lineno)
 
 
-def _parse_model(scene: Scene, rest: str, lineno: int, budget: Budget):
+def _parse_model(scene: Scene, rest: str, lineno: int):
     m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)", rest, re.S)
     if not m:
         raise ParseError("expected: model NAME = ...", lineno)
@@ -353,7 +340,7 @@ def _parse_model(scene: Scene, rest: str, lineno: int, budget: Budget):
     if spec.startswith("catalog"):
         cat = spec[len("catalog"):].strip()
         try:
-            model = catalog_model(cat, budget)
+            model = catalog_model(cat)
         except ValueError as exc:
             raise ParseError(str(exc), lineno)
         if model.field != scene.field:
@@ -362,13 +349,12 @@ def _parse_model(scene: Scene, rest: str, lineno: int, budget: Budget):
         scene.models[name] = model
         return
     if spec.startswith("quotient"):
-        scene.models[name] = _parse_quotient_model(scene, name, spec, lineno,
-                                                   budget)
+        scene.models[name] = _parse_quotient_model(scene, name, spec, lineno)
         return
     raise ParseError(f"unknown model form {spec!r}", lineno)
 
 
-def _parse_quotient_model(scene, name, spec, lineno, budget) -> LocalModel:
+def _parse_quotient_model(scene, name, spec, lineno) -> LocalModel:
     m = re.fullmatch(
         r"quotient\s+generators\s+(.*?)\s+invariants\s+(.*?)\s+upstairs\s+"
         r"(.*?)(?:\s+downstairs\s+(.*))?", spec, re.S)
@@ -381,14 +367,13 @@ def _parse_quotient_model(scene, name, spec, lineno, budget) -> LocalModel:
     matrices = []
     for mat_text in gen_text.split(";"):
         matrices.append(_parse_matrix(mat_text.strip(), scene.field, lineno))
-    group = enumerate_group(scene.field, matrices, budget)
+    group = enumerate_group(scene.field, matrices)
     thetas = [parse_polynomial(t.strip(), scene.field, uvars, lineno)
               for t in inv_text.split(",") if t.strip()]
     yvars = None
     if down_text:
         yvars = tuple(v.strip() for v in down_text.split(",") if v.strip())
-    return build_model(group, thetas, uvars, yvars=yvars, name=name,
-                       budget=budget)
+    return build_model(group, thetas, uvars, yvars=yvars, name=name)
 
 
 def _parse_matrix(text: str, field: Field, lineno: int):
@@ -429,7 +414,7 @@ def _model_of(scene: Scene, name: str, lineno: int) -> LocalModel:
     return scene.models[name]
 
 
-def _parse_cycle(scene: Scene, rest: str, lineno: int, budget: Budget):
+def _parse_cycle(scene: Scene, rest: str, lineno: int):
     m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+on\s+"
                      r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)", rest, re.S)
     if not m:
@@ -445,8 +430,7 @@ def _parse_cycle(scene: Scene, rest: str, lineno: int, budget: Budget):
         chunk = chunk.strip()
         lift = re.fullmatch(r"lift\s*\((.*)\)", chunk, re.S)
         if lift:
-            parts.extend(_lift_downstairs(model, lift.group(1), lineno,
-                                          budget, rng))
+            parts.extend(_lift_downstairs(model, lift.group(1), lineno, rng))
             continue
         m2 = re.fullmatch(r"(.*?)\*?\s*orbit\s*\((.*)\)", chunk, re.S)
         if not m2:
@@ -456,7 +440,7 @@ def _parse_cycle(scene: Scene, rest: str, lineno: int, budget: Budget):
         coeff = parse_fraction(coeff_text, lineno) if coeff_text else Fraction(1)
         gens = [parse_polynomial(g.strip(), model.field, model.uvars, lineno)
                 for g in m2.group(2).split(",") if g.strip()]
-        prime = Ideal(model.field, model.uvars, gens, budget)
+        prime = Ideal(model.field, model.uvars, gens)
         if prime.is_unit():
             raise ChartError("orbit generators define the empty set", lineno)
         parts.append((prime, coeff))
@@ -464,7 +448,7 @@ def _parse_cycle(scene: Scene, rest: str, lineno: int, budget: Budget):
                           DownstairsCycle.from_upstairs_primes(model, parts))
 
 
-def _lift_downstairs(model, text, lineno, budget, rng):
+def _lift_downstairs(model, text, lineno, rng):
     """Lift a downstairs ideal to its reduced upstairs cycle components.
 
     Every distinct orbit class receives coefficient one, no matter how many
@@ -475,16 +459,16 @@ def _lift_downstairs(model, text, lineno, budget, rng):
             for g in text.split(",") if g.strip()]
     up = [model.pull_poly(g) for g in gens]
     up = [g for g in up if not g.is_zero()]
-    ideal = Ideal(model.field, model.uvars, up, budget)
+    ideal = Ideal(model.field, model.uvars, up)
     if ideal.is_unit():
         raise ChartError("downstairs ideal lifts to the empty set", lineno)
     gb = ideal.groebner()
     primes = []
     if len(gb) == 1 and not gb[0].is_constant():
-        for factor, _ in mp_factor(gb[0], budget):
-            primes.append(Ideal(model.field, model.uvars, [factor], budget))
+        for factor, _ in mp_factor(gb[0]):
+            primes.append(Ideal(model.field, model.uvars, [factor]))
     elif ideal.dimension() == 0:
-        for cluster in split_clusters(ideal.radical_zero_dim(), rng, budget):
+        for cluster in split_clusters(ideal.radical_zero_dim(), rng):
             primes.append(cluster.ideal)
     else:
         raise ChartError(

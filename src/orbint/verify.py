@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import QQ
-from .budgets import DEFAULT, Budget
 from .cycle import (CycleFamily, DownstairsCycle, ModelMap, UpstairsCycle,
                     conservation_check, f_product, intersect_model,
                     intersect_upstairs, is_proper, pullback, pushforward,
@@ -70,7 +69,7 @@ def random_prime(model: LocalModel, rng: random.Random, codim: int) -> Ideal:
                     deg = rng.choice([1, 1, 2])
                     rhs = rhs + (MultiPoly.var(field, variables, variables[j]) ** deg) * c
         gens.append(MultiPoly.var(field, variables, variables[idx]) - rhs)
-    return Ideal(field, variables, gens, model.budget)
+    return Ideal(field, variables, gens)
 
 
 def random_cycle(model: LocalModel, rng: random.Random, codim: int,
@@ -95,8 +94,8 @@ def _proper_pair(model: LocalModel, rng: random.Random, cx: int, cy: int,
 # suites
 # ---------------------------------------------------------------------------
 
-def check_pushpull(model: LocalModel, count: int, rng: random.Random,
-                   budget: Budget = DEFAULT) -> VerifyResult:
+def check_pushpull(model: LocalModel, count: int,
+                   rng: random.Random) -> VerifyResult:
     """q_* q^* = k . id on random downstairs cycles."""
     name = f"pushpull[{model.name}]"
     for i in range(count):
@@ -109,8 +108,8 @@ def check_pushpull(model: LocalModel, count: int, rng: random.Random,
     return VerifyResult(name, True, count)
 
 
-def check_eq4(model: LocalModel, count: int, rng: random.Random,
-              budget: Budget = DEFAULT) -> VerifyResult:
+def check_eq4(model: LocalModel, count: int,
+              rng: random.Random) -> VerifyResult:
     """pullback(X . Y) equals the upstairs intersection cycle."""
     name = f"eq4[{model.name}]"
     done = 0
@@ -121,9 +120,9 @@ def check_eq4(model: LocalModel, count: int, rng: random.Random,
         cy = model.n - cx
         try:
             x, y = _proper_pair(model, rng, cx, cy)
-            prod = intersect_model(model, x, y, rng, budget)
-            terms = intersect_upstairs(pullback(model, x), pullback(model, y),
-                                       rng, budget)
+            prod = intersect_model(model, x, y, rng)
+            terms = intersect_upstairs(pullback(model, x),
+                                       pullback(model, y), rng)
         except NotProper:
             continue
         upstairs = UpstairsCycle(model.field, model.uvars,
@@ -152,8 +151,8 @@ def _integrality_ok(model, x, y, prod) -> bool:
     return prod.scale(model.k).is_integral()
 
 
-def check_commutativity(model: LocalModel, count: int, rng: random.Random,
-                        budget: Budget = DEFAULT) -> VerifyResult:
+def check_commutativity(model: LocalModel, count: int,
+                        rng: random.Random) -> VerifyResult:
     name = f"commutativity[{model.name}]"
     done = 0
     guard = 0
@@ -163,8 +162,8 @@ def check_commutativity(model: LocalModel, count: int, rng: random.Random,
         cy = model.n - cx
         try:
             x, y = _proper_pair(model, rng, cx, cy)
-            ab = intersect_model(model, x, y, rng, budget)
-            ba = intersect_model(model, y, x, rng, budget)
+            ab = intersect_model(model, x, y, rng)
+            ba = intersect_model(model, y, x, rng)
         except NotProper:
             continue
         if ab != ba:
@@ -179,8 +178,8 @@ def check_commutativity(model: LocalModel, count: int, rng: random.Random,
     return VerifyResult(name, True, count)
 
 
-def check_associativity(model: LocalModel, count: int, rng: random.Random,
-                        budget: Budget = DEFAULT) -> VerifyResult:
+def check_associativity(model: LocalModel, count: int,
+                        rng: random.Random) -> VerifyResult:
     """(X.Y).Z = X.(Y.Z) on hyperplane-shaped triples in 3-dim models."""
     name = f"associativity[{model.name}]"
     if model.n != 3:
@@ -193,10 +192,10 @@ def check_associativity(model: LocalModel, count: int, rng: random.Random,
         y = random_cycle(model, rng, 1, max_components=1, integral=True)
         z = random_cycle(model, rng, 1, max_components=1, integral=True)
         try:
-            xy = intersect_model(model, x, y, rng, budget)
-            lhs = intersect_model(model, xy, z, rng, budget)
-            yz = intersect_model(model, y, z, rng, budget)
-            rhs = intersect_model(model, x, yz, rng, budget)
+            xy = intersect_model(model, x, y, rng)
+            lhs = intersect_model(model, xy, z, rng)
+            yz = intersect_model(model, y, z, rng)
+            rhs = intersect_model(model, x, yz, rng)
         except OrbintError:
             continue
         if lhs != rhs:
@@ -209,13 +208,13 @@ def check_associativity(model: LocalModel, count: int, rng: random.Random,
     return VerifyResult(name, True, count)
 
 
-def projection_instances(budget: Budget = DEFAULT):
+def projection_instances():
     """Supported (map, X, Y) triples for the projection formula, including
     the degree-2 self-map of the line and product-model projections."""
-    t1m = model_trivial(1, budget=budget)
-    t2m = model_trivial(2, budget=budget)
-    a1 = model_a1(budget)
-    prod = model_product(a1, model_trivial(1, budget=budget), budget)
+    t1m = model_trivial(1)
+    t2m = model_trivial(2)
+    a1 = model_a1()
+    prod = model_product(a1, model_trivial(1))
 
     s = MultiPoly.var(QQ, t1m.uvars, "t1")
     ta, tb = (MultiPoly.var(QQ, t2m.uvars, v) for v in t2m.uvars)
@@ -226,7 +225,7 @@ def projection_instances(budget: Budget = DEFAULT):
         ring = model.uvars
         parts = []
         for gens in gens_list:
-            parts.append((Ideal(model.field, ring, gens, budget), coeff))
+            parts.append((Ideal(model.field, ring, gens), coeff))
         return DownstairsCycle.from_upstairs_primes(model, parts)
 
     square = ModelMap(t1m, t1m, [s * s], name="square")
@@ -254,21 +253,20 @@ def projection_instances(budget: Budget = DEFAULT):
     return out
 
 
-def check_projection_formula(count: int, rng: random.Random,
-                             budget: Budget = DEFAULT) -> VerifyResult:
+def check_projection_formula(count: int, rng: random.Random) -> VerifyResult:
     """f_*(X ._f Y) = f_*(X) . Y over the built-in instance list."""
     name = "projection-formula"
-    instances = projection_instances(budget)
+    instances = projection_instances()
     done = 0
     for fmap, x, y in instances:
         if done >= max(count, len(instances)):
             break
         try:
-            xy = f_product(fmap, x, y, rng, budget)
-            lhs = pushforward_along_map(fmap, xy, rng, budget) \
+            xy = f_product(fmap, x, y, rng)
+            lhs = pushforward_along_map(fmap, xy, rng) \
                 if not xy.is_empty() else DownstairsCycle.empty(fmap.target)
-            fx = pushforward_along_map(fmap, x, rng, budget)
-            rhs = intersect_model(fmap.target, fx, y, rng, budget)
+            fx = pushforward_along_map(fmap, x, rng)
+            rhs = intersect_model(fmap.target, fx, y, rng)
         except OrbintError as exc:
             return VerifyResult(name, False, done + 1,
                                 counterexample=f"{fmap!r} X={x!r} Y={y!r}: {exc}")
@@ -282,26 +280,25 @@ def check_projection_formula(count: int, rng: random.Random,
                         detail="" if passed else "not enough instances")
 
 
-def check_eq8(count: int, rng: random.Random,
-              budget: Budget = DEFAULT) -> VerifyResult:
+def check_eq8(count: int, rng: random.Random) -> VerifyResult:
     """X . Y = X ._P (P . Y) with P = A1 x {0} inside A1 x C."""
     name = "eq8-product-slice"
-    a1 = model_a1(budget)
-    prod = model_product(a1, model_trivial(1, budget=budget), budget)
+    a1 = model_a1()
+    prod = model_product(a1, model_trivial(1))
     pu, pv, pt = (MultiPoly.var(QQ, prod.uvars, v) for v in prod.uvars)
     ua, va = (MultiPoly.var(QQ, a1.uvars, v) for v in a1.uvars)
     zero = MultiPoly.zero(QQ, a1.uvars)
     inclusion = ModelMap(a1, prod, [ua, va, zero], name="j")
     p_cycle = DownstairsCycle.from_upstairs_primes(
-        prod, [(Ideal(QQ, prod.uvars, [pt], budget), 1)])
+        prod, [(Ideal(QQ, prod.uvars, [pt]), 1)])
 
     def a1_cycle(gens, coeff=1):
         return DownstairsCycle.from_upstairs_primes(
-            a1, [(Ideal(QQ, a1.uvars, gens, budget), coeff)])
+            a1, [(Ideal(QQ, a1.uvars, gens), coeff)])
 
     def prod_cycle(gens, coeff=1):
         return DownstairsCycle.from_upstairs_primes(
-            prod, [(Ideal(QQ, prod.uvars, gens, budget), coeff)])
+            prod, [(Ideal(QQ, prod.uvars, gens), coeff)])
 
     instances = [
         (a1_cycle([ua]), prod_cycle([pv - 3])),
@@ -314,11 +311,11 @@ def check_eq8(count: int, rng: random.Random,
     done = 0
     for x, y in instances[:max(count, len(instances))]:
         try:
-            jx = pushforward_along_map(inclusion, x, rng, budget)
-            lhs = intersect_model(prod, jx, y, rng, budget)
-            py = intersect_model(prod, p_cycle, y, rng, budget)
-            inner = f_product(inclusion, x, py, rng, budget)
-            rhs = pushforward_along_map(inclusion, inner, rng, budget) \
+            jx = pushforward_along_map(inclusion, x, rng)
+            lhs = intersect_model(prod, jx, y, rng)
+            py = intersect_model(prod, p_cycle, y, rng)
+            inner = f_product(inclusion, x, py, rng)
+            rhs = pushforward_along_map(inclusion, inner, rng) \
                 if not inner.is_empty() else DownstairsCycle.empty(prod)
         except OrbintError as exc:
             return VerifyResult(name, False, done + 1,
@@ -331,39 +328,37 @@ def check_eq8(count: int, rng: random.Random,
     return VerifyResult(name, done >= min(count, len(instances)), done)
 
 
-def check_conservation(rng: random.Random,
-                       budget: Budget = DEFAULT) -> VerifyResult:
+def check_conservation(rng: random.Random) -> VerifyResult:
     """The moving-family instance across the singular fibre: totals all 1."""
     name = "conservation-of-number"
-    a1 = model_a1(budget)
+    a1 = model_a1()
     ring = ("s",) + a1.uvars
     sv = MultiPoly.var(QQ, ring, "v")
     ss = MultiPoly.var(QQ, ring, "s")
     ua = MultiPoly.var(QQ, a1.uvars, "u")
     x = DownstairsCycle.from_upstairs_primes(
-        a1, [(Ideal(QQ, a1.uvars, [ua], budget), 1)])
+        a1, [(Ideal(QQ, a1.uvars, [ua]), 1)])
     fam = CycleFamily(a1, "s", [((sv - ss,), Fraction(1))],
                       (Fraction(-10), Fraction(10)))
-    report = conservation_check(x, fam, [0, 1, 2, 3], rng, budget)
+    report = conservation_check(x, fam, [0, 1, 2, 3], rng)
     ok = report.conserved and all(t == 1 for t in report.totals)
     detail = "totals " + ", ".join(str(t) for t in report.totals)
     return VerifyResult(name, ok, len(report.samples), detail=detail)
 
 
-def check_f_associativity(rng: random.Random,
-                          budget: Budget = DEFAULT) -> VerifyResult:
+def check_f_associativity(rng: random.Random) -> VerifyResult:
     """(X._fY)._{gof}Z = X._f(Y._gZ) on supported map chains."""
     name = "f-product-associativity"
-    t1m = model_trivial(1, budget=budget)
+    t1m = model_trivial(1)
     s = MultiPoly.var(QQ, t1m.uvars, "t1")
     square = ModelMap(t1m, t1m, [s * s], name="square")
     ident = ModelMap.identity(t1m)
     whole = DownstairsCycle.from_upstairs_primes(
-        t1m, [(Ideal(QQ, t1m.uvars, [], budget), 1)])
+        t1m, [(Ideal(QQ, t1m.uvars, []), 1)])
 
     def pt(a, coeff=1):
         return DownstairsCycle.from_upstairs_primes(
-            t1m, [(Ideal(QQ, t1m.uvars, [s - a], budget), coeff)])
+            t1m, [(Ideal(QQ, t1m.uvars, [s - a]), coeff)])
 
     chains = [
         # f = square, g = identity: composite = square
@@ -381,10 +376,10 @@ def check_f_associativity(rng: random.Random,
     done = 0
     for f, g, gof, x, y, z in chains:
         try:
-            xy = f_product(f, x, y, rng, budget)
-            lhs = f_product(gof, xy, z, rng, budget)
-            yz = f_product(g, y, z, rng, budget)
-            rhs = f_product(f, x, yz, rng, budget)
+            xy = f_product(f, x, y, rng)
+            lhs = f_product(gof, xy, z, rng)
+            yz = f_product(g, y, z, rng)
+            rhs = f_product(f, x, yz, rng)
         except OrbintError as exc:
             return VerifyResult(name, False, done + 1, counterexample=str(exc))
         if lhs != rhs:
@@ -395,15 +390,15 @@ def check_f_associativity(rng: random.Random,
 
 
 SUITES = {
-    "pushpull": lambda model, count, rng, budget: check_pushpull(model, count, rng, budget),
-    "eq4": lambda model, count, rng, budget: check_eq4(model, count, rng, budget),
-    "commute": lambda model, count, rng, budget: check_commutativity(model, count, rng, budget),
-    "assoc": lambda model, count, rng, budget: check_associativity(model, count, rng, budget),
+    "pushpull": lambda model, count, rng: check_pushpull(model, count, rng),
+    "eq4": lambda model, count, rng: check_eq4(model, count, rng),
+    "commute": lambda model, count, rng: check_commutativity(model, count, rng),
+    "assoc": lambda model, count, rng: check_associativity(model, count, rng),
 }
 
 GLOBAL_SUITES = {
-    "projection": lambda count, rng, budget: check_projection_formula(count, rng, budget),
-    "eq8": lambda count, rng, budget: check_eq8(count, rng, budget),
-    "conservation": lambda count, rng, budget: check_conservation(rng, budget),
-    "fassoc": lambda count, rng, budget: check_f_associativity(rng, budget),
+    "projection": lambda count, rng: check_projection_formula(count, rng),
+    "eq8": lambda count, rng: check_eq8(count, rng),
+    "conservation": lambda count, rng: check_conservation(rng),
+    "fassoc": lambda count, rng: check_f_associativity(rng),
 }

@@ -1,13 +1,16 @@
 """Scene parsing, command execution, report determinism, error taxonomy."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbint.cli import render_json, render_text, run
+from orbint.cli import main, render_json, render_text, run
 from orbint.errors import ChartError, ParseError, SceneError, SceneNameError
 from orbint.scene import parse_scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 PAPER_SCENE = """
 field rationals
@@ -256,3 +259,21 @@ run show L
     _, cycle = scene.cycles["L"]
     assert len(cycle.components) == 1
     assert cycle.components[0][1] == 1
+
+
+def test_main_reports_parse_time_engine_error(capsys):
+    # the budget from the flags is already in force while the scene's
+    # models and cycles are built; an engine error there is a scene error
+    code = main([str(SCENES / "cone.scene"), "--max-pairs", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("scene error: EffortExceeded: critical pair "
+                            "budget 4 exceeded\n")
+
+
+def test_main_echoes_flag_budget(capsys):
+    code = main([str(SCENES / "cone.scene"), "--max-pairs", "20"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "max_pairs=20" in out.splitlines()[1]
