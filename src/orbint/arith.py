@@ -1,11 +1,15 @@
 """Exact scalars, univariate polynomials, factorization, and linear algebra.
 
 Scalars are either `fractions.Fraction` (base field Q) or `CycElem`, an
-element of a cyclotomic extension Q[t]/Phi_n(t) stored as a coordinate vector
-over the power basis 1, t, ..., t^{phi(n)-1} with Fraction coordinates.  Both
-are immutable and hashable, representations are canonical (Fraction reduces
-itself; CycElem coordinates are reduced mod Phi_n), and all arithmetic is
-exact -- no rounding ever occurs anywhere in this package.
+element of a cyclotomic extension Q[t]/Phi_n(t) stored as integer numerators
+over the power basis 1, t, ..., t^{phi(n)-1} and one positive common
+denominator.  Both are immutable and hashable, representations are canonical
+(Fraction reduces itself; CycElem numerators are reduced mod Phi_n and share no
+factor with the denominator), and all arithmetic is exact -- no rounding ever
+occurs anywhere in this package.  Since Phi_n is monic with integer
+coefficients, CycElem products stay in integers, and an inverse is the product
+of the Galois conjugates divided by the (integer) norm, with no Euclidean
+algorithm over Q[t].
 
 A `Field` object describes which of the two scalar kinds is in play and is
 threaded through every structure built on top (polynomials, matrices, forms).
@@ -66,7 +70,7 @@ class RationalField(Field):
         if isinstance(value, CycElem):
             if not value.is_rational():
                 raise ValueError(f"{value} is not rational")
-            return value.coords[0]
+            return Fraction(value.num[0], value.den)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def __eq__(self, other):
@@ -123,30 +127,38 @@ class CyclotomicField(Field):
         if conductor < 2:
             raise ValueError("conductor must be at least 2")
         self.conductor = conductor
-        self.modulus = tuple(cyclotomic_polynomial(conductor))
+        # Phi_n is monic with integer coefficients, so reducing an integer
+        # polynomial modulo it keeps integer coefficients
+        self.modulus = tuple(int(c) for c in cyclotomic_polynomial(conductor))
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({conductor})"
+        # t^j reduced mod Phi_n for 0 <= j < n (t^n = 1), and the exponents k
+        # of the nontrivial automorphisms sigma_k: t -> t^k
+        powers = []
+        for j in range(conductor):
+            power = [0] * (max(self.degree, j) + 1)
+            power[j] = 1
+            powers.append(tuple(_zreduce(power, self.modulus)))
+        self.powers = tuple(powers)
+        self.galois_exponents = tuple(k for k in range(2, conductor)
+                                      if math.gcd(k, conductor) == 1)
 
     def coerce(self, value):
         if isinstance(value, CycElem):
             if value.field.conductor != self.conductor:
                 raise ValueError("conductor mismatch")
             return value
-        if isinstance(value, (int, Fraction)):
-            coords = [Fraction(value)] + [Fraction(0)] * (self.degree - 1)
-            return CycElem(self, tuple(coords))
+        if isinstance(value, int):
+            return _cyc(self, (value,) + (0,) * (self.degree - 1), 1)
+        if isinstance(value, Fraction):
+            return _cyc(self, (value.numerator,) + (0,) * (self.degree - 1),
+                        value.denominator)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     @property
     def generator(self):
         """The class of t, a primitive conductor-th root of unity."""
-        coords = [Fraction(0)] * self.degree
-        if self.degree == 1:
-            # Phi_2 = t + 1, so t = -1 in the quotient
-            coords[0] = -Fraction(self.modulus[0])
-        else:
-            coords[1] = Fraction(1)
-        return CycElem(self, tuple(coords))
+        return _cyc(self, self.powers[1], 1)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.conductor == self.conductor
@@ -159,24 +171,39 @@ class CyclotomicField(Field):
 
     @staticmethod
     def sort_key(scalar):
-        return tuple(scalar.coords)
+        return scalar.coords
 
 
 class CycElem:
-    """Element of a CyclotomicField; immutable coordinate vector."""
+    """Element of a CyclotomicField, immutable.
 
-    __slots__ = ("field", "coords")
+    Stored as integer numerators `num` over the power basis 1, t, ...,
+    t^{d-1} and one positive common denominator `den`, in lowest terms
+    (gcd(den, *num) == 1), so equal values have equal representations.  The
+    constructor takes Fraction coordinates, and `coords` returns them.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: CyclotomicField, coords: tuple[Fraction, ...]):
         assert len(coords) == field.degree
+        coords = [Fraction(c) for c in coords]
+        den = math.lcm(*(c.denominator for c in coords))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator)
+                                              for c in coords))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("CycElem is immutable")
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The Fraction coordinates over the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def _lift(self, other):
         if isinstance(other, CycElem):
@@ -191,18 +218,28 @@ class CycElem:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        if self.den == o.den:
+            return _reduced(self.field, [a + b for a, b in zip(self.num, o.num)],
+                            self.den)
+        return _reduced(self.field, [a * o.den + b * self.den
+                                     for a, b in zip(self.num, o.num)],
+                        self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem(self.field, tuple(-a for a in self.coords))
+        return _cyc(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        if self.den == o.den:
+            return _reduced(self.field, [a - b for a, b in zip(self.num, o.num)],
+                            self.den)
+        return _reduced(self.field, [a * o.den - b * self.den
+                                     for a, b in zip(self.num, o.num)],
+                        self.den * o.den)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -214,49 +251,27 @@ class CycElem:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        deg = self.field.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    prod[i + j] += a * b
-        mod = self.field.modulus
-        for i in range(len(prod) - 1, deg - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(deg):
-                    prod[i - deg + j] -= c * mod[j]
-        return CycElem(self.field, tuple(prod[:deg]))
+        field = self.field
+        return _reduced(field, _zmulmod(self.num, o.num, field.modulus),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against Phi_n."""
+        """Product of the Galois conjugates over the norm: with a = A/den,
+        a^-1 = den * prod_k sigma_k(A) / N(A), N(A) = A * prod_k sigma_k(A)
+        an integer."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        # work on ascending Fraction lists
-        a = list(self.field.modulus)
-        b = list(self.coords)
-        while b and b[-1] == 0:
-            b.pop()
-        # invariants: s*phi + t*self = r  (only t is tracked)
-        t_prev, t_cur = [], [Fraction(1)]
-        r_prev, r_cur = a, b
-        while True:
-            if len(r_cur) == 1:
-                inv = [c / r_cur[0] for c in t_cur]
-                break
-            q, r = _qlist_divmod(r_prev, r_cur)
-            t_next = _qlist_sub(t_prev, _qlist_mul(q, t_cur))
-            r_prev, r_cur = r_cur, r
-            t_prev, t_cur = t_cur, t_next
-            if not r_cur:
-                raise ZeroDivisionError("not invertible (modulus not squarefree?)")
-        deg = self.field.degree
-        inv = inv + [Fraction(0)] * deg
-        return CycElem(self.field, tuple(inv[:deg])) * self.field.one
+        field = self.field
+        conj = (1,) + (0,) * (field.degree - 1)
+        for k in field.galois_exponents:
+            conj = _zmulmod(conj, _conjugate(field, self.num, k), field.modulus)
+        norm = _zmulmod(self.num, conj, field.modulus)[0]
+        if norm < 0:
+            norm = -norm
+            conj = [-c for c in conj]
+        return _reduced(field, [c * self.den for c in conj], norm)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -283,20 +298,23 @@ class CycElem:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and self.is_rational()
+        if isinstance(other, Fraction):
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         if isinstance(other, CycElem):
             return (self.field.conductor == other.field.conductor
-                    and self.coords == other.coords)
+                    and self.num == other.num and self.den == other.den)
         return NotImplemented
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash(("cyc", self.field.conductor, self.coords))
+            return hash(Fraction(self.num[0], self.den))
+        return hash(("cyc", self.field.conductor, self.num, self.den))
 
     def __repr__(self):
         if self.is_rational():
@@ -313,46 +331,56 @@ class CycElem:
         return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
-def _qlist_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for j, d in enumerate(b):
-            a[k + j] -= c * d
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+def _cyc(field: CyclotomicField, num: tuple[int, ...], den: int) -> CycElem:
+    """CycElem from numerators and a positive denominator already in lowest
+    terms."""
+    el = object.__new__(CycElem)
+    object.__setattr__(el, "field", field)
+    object.__setattr__(el, "num", num)
+    object.__setattr__(el, "den", den)
+    return el
 
 
-def _qlist_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, c in enumerate(b):
-        a[i] -= c
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _reduced(field: CyclotomicField, num: list[int], den: int) -> CycElem:
+    """CycElem num/den for a positive den, brought to lowest terms."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return _cyc(field, tuple(num), den)
+    return _cyc(field, tuple(c // g for c in num), den // g)
 
 
-def _qlist_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _zreduce(a: list[int], mod: tuple[int, ...]) -> list[int]:
+    """Integer coefficient list a, of length at least len(mod) - 1, reduced
+    in place modulo the monic `mod`; returns its len(mod) - 1 coefficients."""
+    deg = len(mod) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(deg):
+                a[i - deg + j] -= c * mod[j]
+    return a[:deg]
+
+
+def _zmulmod(a, b, mod: tuple[int, ...]) -> list[int]:
+    """Product of two reduced integer coefficient vectors modulo `mod`."""
+    prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
+                    prod[i + j] += x * y
+    return _zreduce(prod, mod)
+
+
+def _conjugate(field: CyclotomicField, num, k: int) -> list[int]:
+    """sigma_k(A)(t) = A(t^k) mod Phi_n for an integer coefficient vector A."""
+    out = [0] * field.degree
+    n = field.conductor
+    for i, c in enumerate(num):
+        if c:
+            for j, p in enumerate(field.powers[(i * k) % n]):
+                if p:
+                    out[j] += c * p
     return out
 
 
@@ -894,7 +922,7 @@ def _factor_cyclotomic(p: UniPoly) -> list[tuple[UniPoly, int]]:
             continue
         if all(field.coerce(c).is_rational() for c in sqfree.coeffs):
             # factor over Q first; pieces may split further over the extension
-            rational = UniPoly(QQ, [field.coerce(c).coords[0] for c in sqfree.coeffs])
+            rational = UniPoly(QQ, [QQ.coerce(c) for c in sqfree.coeffs])
             pieces = [UniPoly(field, f.coeffs) for f, _ in _factor_rational(rational)]
         else:
             pieces = [sqfree]
@@ -1096,7 +1124,7 @@ def solve_linear(field: Field, a_rows: list[list], b: list) -> LinearSolution:
                 if j == c:
                     continue
                 num = aug[i][j] * aug[r][c] - aug[i][c] * aug[r][j]
-                aug[i][j] = _exact_scalar_div(num, prev)
+                aug[i][j] = num / prev
             aug[i][c] = field.zero
         prev = aug[r][c]
         pivots.append((r, c))
@@ -1139,14 +1167,9 @@ def _clear_row_denominators(field: Field, row: list):
     if field == QQ:
         denom = math.lcm(*(x.denominator for x in row)) if row else 1
         return [x * denom for x in row]
-    denoms = [c.denominator for x in row for c in x.coords]
-    denom = math.lcm(*denoms) if denoms else 1
+    denom = math.lcm(*(x.den for x in row)) if row else 1
     scale = field.coerce(denom)
     return [x * scale for x in row]
-
-
-def _exact_scalar_div(num, den):
-    return num / den
 
 
 def char_poly(field: Field, m: list[list]) -> UniPoly:

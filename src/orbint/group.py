@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import budgets
-from .arith import Field, UniPoly, _bareiss_det_poly, determinant
+from .arith import QQ, Field, UniPoly, _bareiss_det_poly, determinant
 from .budgets import Budget
 from .errors import NotFaithful, NotFinite
 from .poly import Ideal, MultiPoly
@@ -190,7 +190,7 @@ def molien(group: FiniteMatrixGroup, degree_bound: int) -> list[int]:
     out = []
     for k in range(terms):
         val = total[k] * Fraction(1, group.order)
-        q = _as_rational(field, val)
+        q = QQ.coerce(val)
         if q.denominator != 1:
             raise ArithmeticError("Molien coefficient not an integer")
         out.append(int(q))
@@ -209,14 +209,6 @@ def _series_inverse(p: UniPoly, terms: int) -> list:
             acc = acc + p.coeffs[j] * out[k - j]
         out[k] = -inv0 * acc
     return out
-
-
-def _as_rational(field, value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if not value.is_rational():
-        raise ArithmeticError("expected a rational value")
-    return value.coords[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,32 +16,69 @@ from orbint.errors import DegreeTooLarge
 K3 = CyclotomicField(3)
 K4 = CyclotomicField(4)
 
+# degrees 1, 2, 2, 4, 4, 4: inverses with zero, one and three conjugates
+CONDUCTORS = (2, 3, 4, 5, 8, 12)
+
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
 
-def cyc3(coords):
-    return CycElem(K3, tuple(Fraction(c) for c in coords))
+def coord_lists(field):
+    return st.lists(rationals, min_size=field.degree, max_size=field.degree)
 
 
-cyc_elems = st.tuples(rationals, rationals).map(cyc3)
+def cyc_elems(field):
+    return coord_lists(field).map(lambda cs: CycElem(field, tuple(cs)))
 
 
 # --- field axioms -----------------------------------------------------------
 
+@pytest.mark.parametrize("conductor", CONDUCTORS)
 @settings(max_examples=60, deadline=None)
-@given(cyc_elems, cyc_elems, cyc_elems)
-def test_cyclotomic_ring_axioms(a, b, c):
+@given(data=st.data())
+def test_cyclotomic_ring_axioms(conductor, data):
+    field = CyclotomicField(conductor)
+    a, b, c = (data.draw(cyc_elems(field)) for _ in range(3))
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert a - a == 0
 
 
+@pytest.mark.parametrize("conductor", CONDUCTORS)
 @settings(max_examples=40, deadline=None)
-@given(cyc_elems)
-def test_cyclotomic_inverse(a):
+@given(data=st.data())
+def test_cyclotomic_inverse(conductor, data):
+    a = data.draw(cyc_elems(CyclotomicField(conductor)))
     if a:
         assert a * a.inverse() == 1
+        assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize("conductor", CONDUCTORS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_coords_round_trip(conductor, data):
+    field = CyclotomicField(conductor)
+    coords = tuple(data.draw(coord_lists(field)))
+    a = CycElem(field, coords)
+    assert a.coords == coords
+    assert CycElem(field, a.coords) == a
+
+
+def test_cyclotomic_lowest_terms():
+    a = CycElem(K3, (Fraction(2, 4), Fraction(3, 6)))
+    assert a.coords == (Fraction(1, 2), Fraction(1, 2))
+    assert (a.num, a.den) == ((1, 1), 2)
+    assert (a + a).den == 1
+    assert (K3.zero.num, K3.zero.den) == ((0, 0), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals)
+def test_rational_cyclotomic_hash(q):
+    for field in (K3, K4, CyclotomicField(5)):
+        assert hash(field.coerce(q)) == hash(q)
+        assert field.coerce(q) == q
 
 
 def test_canonical_forms_unique():

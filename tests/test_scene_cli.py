@@ -1,6 +1,9 @@
 """Scene parsing, command execution, report determinism, error taxonomy."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,3 +280,18 @@ def test_main_echoes_flag_budget(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "max_pairs=20" in out.splitlines()[1]
+
+
+def test_python_dash_m_orbint(capsys):
+    assert main([str(SCENES / "cone.scene")]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "orbint",
+                           str(SCENES / "cone.scene")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == expected
