@@ -70,7 +70,7 @@ class OrbitClass:
     @classmethod
     def of(cls, model: LocalModel, prime: Ideal) -> "OrbitClass":
         """Orbit class of an upstairs prime (primality is an input contract)."""
-        cache = _orbit_cache(model)
+        cache = model._orbit_cache
         key0 = prime.canonical_key()
         hit = cache.get(key0)
         if hit is not None:
@@ -119,14 +119,6 @@ class OrbitClass:
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.rep.groebner())
         return f"[{gens}]"
-
-
-def _orbit_cache(model: LocalModel) -> dict:
-    cache = getattr(model, "_orbit_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(model, "_orbit_cache", cache)
-    return cache
 
 
 # ---------------------------------------------------------------------------

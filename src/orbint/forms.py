@@ -277,9 +277,8 @@ def downstairs_equal(model: LocalModel, a: DiffForm, b: DiffForm) -> bool:
 
 def default_denominators(model: LocalModel) -> list[MultiPoly]:
     """1, the expressed coordinate norms, and their squarefree products."""
-    cache = getattr(model, "_denominator_cache", None)
-    if cache is not None:
-        return cache
+    if model._denominator_cache is not None:
+        return model._denominator_cache
     norms = []
     seen = set()
     for v in model.uvars:
@@ -297,7 +296,7 @@ def default_denominators(model: LocalModel) -> list[MultiPoly]:
             prod = prod.monic(GREVLEX)
             if prod.sort_key() not in {p.sort_key() for p in out}:
                 out.append(prod)
-    setattr(model, "_denominator_cache", out)
+    model._denominator_cache = out
     return out
 
 

@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials, Groebner bases, and ideal tools.
 
 A MultiPoly maps exponent tuples to nonzero scalars of a fixed Field over an
-ordered tuple of variable names.  Ideals cache one reduced Groebner basis per
-term order; the cache is filled lazily and never mutated afterwards, so
-distinct Ideal values can be used concurrently.
+ordered tuple of variable names.  `Ideal.groebner` is the one path to a
+reduced Groebner basis.  It goes through one bounded memo for the whole
+process, keyed on (field, variables, order, installed budget, generator
+tuple), so a hit returns exactly what a fresh `buchberger` run on that input
+under that budget would return, and a smaller budget still raises where a
+fresh run would.  The memo keeps the `_GB_MEMO_SIZE` most recently used
+bases, stores no exceptions, and updates under one lock, so distinct Ideal
+values can be used concurrently.
 
 The Buchberger loop uses the normal pair-selection strategy and the standard
 update criteria (coprime leading terms, chain criterion).  All loops check a
@@ -13,6 +18,7 @@ Budget and raise EffortExceeded instead of running away.
 from __future__ import annotations
 
 import itertools
+import threading
 from fractions import Fraction
 
 from .arith import Field, UniPoly, factor_univariate, squarefree_decomposition
@@ -39,9 +45,11 @@ class TermOrder:
             raise ValueError(f"unknown term order {kind!r}")
         self.kind = kind
         self.split = split
+        self.key = _KeyCache(self._key).__getitem__
 
-    def key(self, m: Monomial):
-        """Sort key; larger key means larger monomial."""
+    def _key(self, m: Monomial):
+        """Sort key; larger key means larger monomial.  Read it through
+        `key`, which computes each monomial's key once per order."""
         if self.kind == "grevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
         if self.kind == "lex":
@@ -61,6 +69,20 @@ class TermOrder:
         if self.kind == "block":
             return f"block({self.split})"
         return self.kind
+
+
+class _KeyCache(dict):
+    """Monomial -> sort key of one order, filled on first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, m: Monomial):
+        k = self[m] = self.compute(m)
+        return k
 
 
 GREVLEX = TermOrder("grevlex")
@@ -507,11 +529,17 @@ def buchberger(gens: list[MultiPoly], order: TermOrder = GREVLEX,
 # ideals
 # ---------------------------------------------------------------------------
 
-class Ideal:
-    """Finitely generated ideal with a lazy per-order Groebner cache.
+_GB_MEMO_SIZE = 256
+_GB_MEMO: dict = {}            # (field, vars, order, budget, gens) -> basis
+_GB_LOCK = threading.Lock()
 
-    The cache is single-writer: computing a basis for a new order stores it
-    once; no other mutation happens after construction.
+
+class Ideal:
+    """Finitely generated ideal; immutable after construction.
+
+    It stores no basis itself: `groebner(order)` reads the module memo,
+    keyed on the ring, the order, the installed budget and the generator
+    tuple, so equal generators share one basis across Ideal values.
     """
 
     def __init__(self, field: Field, variables: tuple[str, ...],
@@ -522,18 +550,23 @@ class Ideal:
         for g in self.gens:
             if g.vars != self.vars:
                 raise ValueError("generator in wrong ring")
-        self._gb: dict[TermOrder, tuple[MultiPoly, ...]] = {}
 
     @property
     def n(self) -> int:
         return len(self.vars)
 
     def groebner(self, order: TermOrder = GREVLEX) -> tuple[MultiPoly, ...]:
-        cached = self._gb.get(order)
-        if cached is None:
-            cached = tuple(buchberger(list(self.gens), order))
-            self._gb[order] = cached
-        return cached
+        """Reduced basis under the installed budget, memoized LRU."""
+        key = (self.field, self.vars, order, budgets.current(), self.gens)
+        with _GB_LOCK:
+            basis = _GB_MEMO.pop(key, None)
+        if basis is None:
+            basis = tuple(buchberger(list(self.gens), order))
+        with _GB_LOCK:
+            _GB_MEMO[key] = basis
+            if len(_GB_MEMO) > _GB_MEMO_SIZE:
+                del _GB_MEMO[next(iter(_GB_MEMO))]
+        return basis
 
     def normal_form(self, f: MultiPoly, order: TermOrder = GREVLEX) -> MultiPoly:
         return normal_form_list(f, list(self.groebner(order)), order)
@@ -645,7 +678,7 @@ class Ideal:
                             for m, c in g.terms.items()})
                  for g in self.gens]
         order = TermOrder("block", split=len(drop))
-        gb = buchberger(moved, order)
+        gb = Ideal(self.field, new_vars, moved).groebner(order)
         kept_vars = tuple(keep_order)
         kept = []
         for g in gb:

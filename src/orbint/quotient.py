@@ -13,6 +13,7 @@ all reports deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -26,10 +27,16 @@ from .poly import Ideal, MultiPoly, TermOrder
 class LocalModel:
     """Quotient chart data; immutable after build.
 
-    Derived data (orbit classes, trace denominators) is cached on the
-    instance lazily under the same single-writer discipline as the Groebner
-    cache of an Ideal: distinct models can be used concurrently, one model
-    value must not be fed to two tasks racing on first use.
+    Derived data is cached in two declared fields that stay out of the
+    constructor, repr and equality: `_orbit_cache` maps the canonical key of
+    each prime seen by `cycle.OrbitClass.of` to its orbit class, and
+    `_denominator_cache` holds `forms.default_denominators` once computed.
+    They only gain values that a fresh computation would return, so reports
+    and model equality do not depend on them; two tasks racing on first use
+    may both compute a value and store equal ones.  Unlike the Groebner
+    memo they are not keyed on the budget: an orbit class found under one
+    budget is reused under another.  Groebner bases are not cached here;
+    they live in the one memo behind `Ideal.groebner`.
     """
 
     field: Field
@@ -42,6 +49,10 @@ class LocalModel:
     graph_order: TermOrder
     name: str = "model"
     audit: tuple[int, ...] = ()         # degrees with a generation deficit
+    _orbit_cache: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _denominator_cache: list | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:

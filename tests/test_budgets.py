@@ -54,6 +54,16 @@ def test_installed_budget_reaches_ideals_built_before():
     assert ideal.groebner()          # the default budget suffices
 
 
+def test_basis_from_a_larger_budget_is_not_reused_under_a_smaller():
+    ideal = _hard_ideal()
+    assert ideal.groebner()          # computed under DEFAULT
+    with using(Budget(max_pairs=1)):
+        with pytest.raises(EffortExceeded):
+            ideal.groebner()
+        with pytest.raises(EffortExceeded):
+            _hard_ideal().groebner()
+
+
 def test_separation_retries_come_from_the_installed_budget():
     x, y, z = (MultiPoly.var(QQ, XYZ, v) for v in XYZ)
     points = Ideal(QQ, XYZ, [x * x - 2, y - 1, z])

@@ -1,13 +1,16 @@
 """Groebner kernel: bases, normal forms, elimination, dimension, quotients."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbint import poly
 from orbint.arith import QQ, char_poly
-from orbint.budgets import Budget
+from orbint.budgets import Budget, using
 from orbint.errors import EffortExceeded, NotZeroDimensional, UnitIdeal
 from orbint.poly import (GREVLEX, LEX, Ideal, MultiPoly, RationalFn,
                          buchberger, mp_factor, mp_gcd, normal_form_list,
@@ -74,6 +77,120 @@ def test_effort_budget():
     gens = [x ** 3 - y * z, y ** 3 - x * z, z ** 3 - x * y, x * y * z - 1]
     with pytest.raises(EffortExceeded):
         buchberger(gens, budget=tiny)
+
+
+# --- the Groebner memo -------------------------------------------------------
+
+def _counting_buchberger(monkeypatch):
+    calls = []
+    real = poly.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "buchberger", counted)
+    monkeypatch.setattr(poly, "_GB_MEMO", {})
+    return calls
+
+
+def test_equal_generators_share_one_groebner_run(monkeypatch):
+    calls = _counting_buchberger(monkeypatch)
+    gens = [x * y - z ** 2, x - y ** 2]
+    first = ideal(gens).groebner()
+    assert ideal([x * y - z ** 2, x - y ** 2]).groebner() is first
+    assert len(calls) == 1
+    ideal(gens).groebner(LEX)        # another order is another basis
+    assert len(calls) == 2
+
+
+def test_elimination_goes_through_the_memo(monkeypatch):
+    calls = _counting_buchberger(monkeypatch)
+    big = ideal([x * y - z ** 2, x - y ** 2])
+    first = big.eliminate(["x", "z"])
+    assert big.eliminate(["x", "z"]) == first
+    assert len(calls) == 2           # the block-order basis, then grevlex
+    assert len(calls) == len(poly._GB_MEMO)
+
+
+def test_groebner_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(poly, "_GB_MEMO", {})
+    for i in range(poly._GB_MEMO_SIZE + 40):
+        assert ideal([x - i]).groebner() == (x - i,)
+        assert len(poly._GB_MEMO) <= poly._GB_MEMO_SIZE
+    assert len(poly._GB_MEMO) == poly._GB_MEMO_SIZE
+
+
+def test_groebner_memo_evicts_the_least_recently_used(monkeypatch):
+    calls = _counting_buchberger(monkeypatch)
+    oldest = ideal([y - 1])
+    oldest.groebner()
+    for i in range(poly._GB_MEMO_SIZE - 1):
+        ideal([x - i]).groebner()
+        oldest.groebner()            # a hit moves it to the newest end
+    ideal([x - poly._GB_MEMO_SIZE]).groebner()
+    assert len(calls) == poly._GB_MEMO_SIZE + 1
+    oldest.groebner()
+    assert len(calls) == poly._GB_MEMO_SIZE + 1
+    ideal([x]).groebner()            # x - 0 was evicted, so it runs again
+    assert len(calls) == poly._GB_MEMO_SIZE + 2
+
+
+def test_failed_groebner_runs_are_not_memoized(monkeypatch):
+    monkeypatch.setattr(poly, "_GB_MEMO", {})
+    hard = ideal([x ** 3 - y * z, y ** 3 - x * z, z ** 3 - x * y, x * y * z - 1])
+    with pytest.raises(EffortExceeded), using(Budget(max_pairs=1)):
+        hard.groebner()
+    assert not poly._GB_MEMO
+
+
+def test_groebner_memo_under_racing_threads(monkeypatch):
+    # A small bound makes every thread evict while the others read and insert.
+    monkeypatch.setattr(poly, "_GB_MEMO", {})
+    monkeypatch.setattr(poly, "_GB_MEMO_SIZE", 4)
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(1500):
+                j = (i * seed) % 6
+                assert ideal([x - j]).groebner() == (x - j,)
+                with poly._GB_LOCK:
+                    assert len(poly._GB_MEMO) <= 4
+        except Exception as exc:        # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in (1, 3, 7, 9, 11, 13)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+
+
+def test_ideal_stores_no_basis():
+    i = ideal([x, y])
+    i.groebner()
+    assert not hasattr(i, "_gb")
+    assert vars(i).keys() == {"field", "vars", "gens"}
+
+
+def test_term_order_key_is_cached_per_order():
+    m = (2, 0, 1)
+    assert GREVLEX.key(m) is GREVLEX.key(m)
+    assert GREVLEX.key(m) == (3, (-1, 0, -2))
+    assert LEX.key(m) == m
+    block = poly.TermOrder("block", split=1)
+    assert block.key(m) == ((2, (-2,)), (1, (-1, 0)))
+    assert block == poly.TermOrder("block", split=1)
+    assert hash(block) == hash(poly.TermOrder("block", split=1))
 
 
 # --- normal form ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Local models: invariant embeddings, relations, descent, norms."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -164,3 +165,23 @@ def test_catalog_image_dimensions(a1, a2, trivial2, trivial3, prod_a1_t1):
             assert len(model.yvars) == model.n
         else:
             assert model.relations.dimension() == model.n
+
+
+def test_derived_data_caches_are_declared_and_ignored_by_equality():
+    from orbint.cycle import OrbitClass
+    from orbint.forms import default_denominators
+    from orbint.quotient import LocalModel, model_a1
+
+    caches = {"_orbit_cache", "_denominator_cache"}
+    declared = {f.name: f for f in dataclasses.fields(LocalModel)}
+    for name in caches:
+        f = declared[name]
+        assert not (f.init or f.repr or f.compare)
+    used = model_a1()
+    fresh = dataclasses.replace(used)    # same data, empty caches
+    u = up(used, used.uvars[0])
+    orbit = OrbitClass.of(used, Ideal(used.field, used.uvars, [u]))
+    assert used._orbit_cache[orbit.key] is orbit
+    assert default_denominators(used) is used._denominator_cache
+    assert not fresh._orbit_cache and fresh._denominator_cache is None
+    assert used == fresh and repr(used) == repr(fresh)
