@@ -41,26 +41,21 @@ from .errors import DegreeTooLarge
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Base field descriptor.  Instances are stateless and comparable."""
+    """Base field descriptor.  Instances are comparable, and `zero` and
+    `one` are stored immutable scalars of the field."""
 
     is_cyclotomic = False
 
     def coerce(self, value):
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
-
 
 class RationalField(Field):
     """The rationals; scalars are `fractions.Fraction`."""
 
     name = "rationals"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -142,6 +137,8 @@ class CyclotomicField(Field):
         self.powers = tuple(powers)
         self.galois_exponents = tuple(k for k in range(2, conductor)
                                       if math.gcd(k, conductor) == 1)
+        self.zero = _cyc(self, (0,) * self.degree, 1)
+        self.one = _cyc(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def coerce(self, value):
         if isinstance(value, CycElem):
@@ -264,10 +261,7 @@ class CycElem:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        conj = (1,) + (0,) * (field.degree - 1)
-        for k in field.galois_exponents:
-            conj = _zmulmod(conj, _conjugate(field, self.num, k), field.modulus)
-        norm = _zmulmod(self.num, conj, field.modulus)[0]
+        conj, norm = _norm_cofactor(field, self.num)
         if norm < 0:
             norm = -norm
             conj = [-c for c in conj]
@@ -370,6 +364,15 @@ def _zmulmod(a, b, mod: tuple[int, ...]) -> list[int]:
                 if y:
                     prod[i + j] += x * y
     return _zreduce(prod, mod)
+
+
+def _norm_cofactor(field: CyclotomicField, num) -> tuple[list[int], int]:
+    """For a nonzero integer vector A: the product C of its nontrivial
+    Galois conjugates sigma_k(A) and the integer norm N(A) = A * C."""
+    conj = field.one.num
+    for k in field.galois_exponents:
+        conj = _zmulmod(conj, _conjugate(field, num, k), field.modulus)
+    return conj, _zmulmod(num, conj, field.modulus)[0]
 
 
 def _conjugate(field: CyclotomicField, num, k: int) -> list[int]:
@@ -1087,56 +1090,32 @@ class LinearSolution:
 
 
 def solve_linear(field: Field, a_rows: list[list], b: list) -> LinearSolution:
-    """Solve A x = b exactly by fraction-free (Bareiss) elimination.
+    """Solve A x = b exactly.
 
-    Free variables are set to zero in the particular solution; the nullspace
-    basis has one vector per free column.  Deterministic for fixed input.
+    Each row of the augmented matrix is scaled to integers over Q, or to
+    cyclotomic integers over Q(zeta_n), and eliminated fraction-free by
+    `_bareiss`; field scalars are built only for the pivot rows, for back
+    substitution.  Free variables are set to zero in the particular
+    solution; the nullspace basis has one vector per free column.
+    Deterministic for fixed input.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
     if nrows != len(b):
         raise ValueError("dimension mismatch between A and b")
-    # augmented, row-scaled to clear denominators (fraction-free over Z when
-    # the field is Q; over an extension the scaling clears coordinate
-    # denominators, which keeps Bareiss divisions exact)
-    aug = []
-    origin = []
-    for i in range(nrows):
-        row = [field.coerce(x) for x in a_rows[i]] + [field.coerce(b[i])]
-        aug.append(_clear_row_denominators(field, row))
-        origin.append(i)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prev = field.one
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            aug[r], aug[piv] = aug[piv], aug[r]
-            origin[r], origin[piv] = origin[piv], origin[r]
-        for i in range(r + 1, nrows):
-            for j in range(ncols + 1):
-                if j == c:
-                    continue
-                num = aug[i][j] * aug[r][c] - aug[i][c] * aug[r][j]
-                aug[i][j] = num / prev
-            aug[i][c] = field.zero
-        prev = aug[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    # inconsistency: a row with zero coefficients but nonzero rhs
+    aug, _ = _integer_rows(field, [list(a_rows[i]) + [b[i]] for i in range(nrows)])
+    pivots, origin, _ = _bareiss(field, aug, ncols)
+    r = len(pivots)
+    # inconsistency: the rows below the last pivot have zero coefficients,
+    # so the first of them with a nonzero rhs is the witness
+    nonzero = any if field.is_cyclotomic else bool
     for i in range(r, nrows):
-        if any(aug[i][:ncols]):
-            continue
-        if aug[i][ncols]:
+        if nonzero(aug[i][ncols]):
             return LinearSolution(None, (), origin[i])
+    if field.is_cyclotomic:
+        aug = [[_cyc(field, x, 1) for x in aug[i]] for i in range(r)]
+    else:
+        aug = [[Fraction(x) for x in aug[i]] for i in range(r)]
     # back substitution on the pivot rows
     sol = [field.zero] * ncols
     pivot_cols = {c for _, c in pivots}
@@ -1163,13 +1142,103 @@ def solve_linear(field: Field, a_rows: list[list], b: list) -> LinearSolution:
     return LinearSolution(tuple(sol), tuple(basis), None)
 
 
-def _clear_row_denominators(field: Field, row: list):
-    if field == QQ:
-        denom = math.lcm(*(x.denominator for x in row)) if row else 1
-        return [x * denom for x in row]
-    denom = math.lcm(*(x.den for x in row)) if row else 1
-    scale = field.coerce(denom)
-    return [x * scale for x in row]
+def _integer_rows(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """Rows coerced into the field, each times the lcm of its denominators,
+    and those lcms.  Over Q the entries become ints; over Q(zeta_n) they
+    become tuples of int power-basis coordinates, which are integral because
+    the power basis is an integral basis of Z[zeta_n]."""
+    out, scales = [], []
+    for row in rows:
+        row = [field.coerce(x) for x in row]
+        if field.is_cyclotomic:
+            scale = math.lcm(*(x.den for x in row))
+            out.append([x.num if x.den == scale
+                        else tuple(c * (scale // x.den) for c in x.num) for x in row])
+        else:
+            scale = math.lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return out, scales
+
+
+def _bareiss(field: Field, m: list[list], ncols: int):
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968) in
+    place on rows from `_integer_rows`.
+
+    Columns 0..ncols-1 are searched in turn for a pivot, the first row at or
+    below the current one with a nonzero entry; later columns ride along.
+    Every entry updated below a pivot is a minor of the input, so its
+    division by the previous pivot is exact.  Over Q it is a `divmod`; over
+    Q(zeta_n) the entry is multiplied by the product of the previous pivot's
+    nontrivial Galois conjugates and each coordinate is divided by its
+    integer norm (Cohen, GTM 138, 4.3).  A nonzero remainder raises
+    ArithmeticError.  Columns left of a pivot are already zero below it and
+    are not touched.  Returns the pivots (row, col), the input index of each
+    row and the sign of the row permutation.
+    """
+    nrows = len(m)
+    width = len(m[0]) if nrows else 0
+    cyc = field.is_cyclotomic
+    nonzero = any if cyc else bool
+    origin = list(range(nrows))
+    pivots = []
+    sign = 1
+    prev = field.one.num if cyc else 1  # the previous pivot
+    r = 0
+    for c in range(ncols):
+        for piv in range(r, nrows):
+            if nonzero(m[piv][c]):
+                break
+        else:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            origin[r], origin[piv] = origin[piv], origin[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        if cyc:
+            mod = field.modulus
+            cofactor, norm = _norm_cofactor(field, prev)
+            pc = _zmulmod(p, cofactor, mod)
+            for i in range(r + 1, nrows):
+                row = m[i]
+                f = row[c]
+                fc = _zmulmod(f, cofactor, mod) if any(f) else None
+                for j in range(c + 1, width):
+                    num = _zmulmod(row[j], pc, mod)
+                    if fc is not None and any(top[j]):
+                        num = [a - b for a, b in zip(num, _zmulmod(top[j], fc, mod))]
+                    row[j] = _zexact_div(num, norm)
+                row[c] = field.zero.num
+        else:
+            for i in range(r + 1, nrows):
+                row = m[i]
+                f = row[c]
+                for j in range(c + 1, width):
+                    row[j], rem = divmod(row[j] * p - f * top[j], prev)
+                    if rem:
+                        raise ArithmeticError("inexact Bareiss division")
+                row[c] = 0
+        prev = p
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return pivots, origin, sign
+
+
+def _zexact_div(num: list[int], d: int) -> tuple[int, ...]:
+    """The integer vector num / d; raises ArithmeticError unless exact."""
+    if d == 1:
+        return tuple(num)
+    out = []
+    for a in num:
+        q, rem = divmod(a, d)
+        if rem:
+            raise ArithmeticError("inexact Bareiss division")
+        out.append(q)
+    return tuple(out)
 
 
 def char_poly(field: Field, m: list[list]) -> UniPoly:
@@ -1207,26 +1276,18 @@ def char_poly(field: Field, m: list[list]) -> UniPoly:
 
 
 def determinant(field: Field, rows: list[list]):
-    """Exact determinant by Bareiss over the field."""
+    """Exact determinant of a square matrix: its rows are scaled to integers
+    (cyclotomic integers over Q(zeta_n)) and eliminated by `_bareiss`, and
+    the last pivot, signed by the row swaps, is divided by the product of
+    the row scales."""
     n = len(rows)
     if n == 0:
         return field.one
-    m = [[field.coerce(x) for x in row] for row in rows]
-    sign = 1
-    prev = field.one
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return field.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = field.zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    m, scales = _integer_rows(field, rows)
+    pivots, _, sign = _bareiss(field, m, n)
+    if len(pivots) < n:
+        return field.zero
+    last, den = m[n - 1][n - 1], math.prod(scales)
+    if field.is_cyclotomic:
+        return _reduced(field, [sign * c for c in last], den)
+    return Fraction(sign * last, den)

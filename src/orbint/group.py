@@ -28,14 +28,10 @@ class FiniteMatrixGroup:
         self.n = dimension
         self.elements = list(elements)
         self.order = len(elements)
-        self._index = {el: i for i, el in enumerate(elements)}
 
     @property
     def identity(self):
         return _identity(self.field, self.n)
-
-    def index_of(self, element) -> int:
-        return self._index[element]
 
     def multiply(self, a, b):
         return _mat_mul(self.field, a, b)

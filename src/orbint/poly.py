@@ -21,7 +21,8 @@ import itertools
 import threading
 from fractions import Fraction
 
-from .arith import Field, UniPoly, factor_univariate, squarefree_decomposition
+from .arith import (CycElem, Field, UniPoly, factor_univariate,
+                    squarefree_decomposition)
 from . import budgets
 from .budgets import Budget
 from .errors import EffortExceeded, NotZeroDimensional, UnitIdeal
@@ -116,8 +117,11 @@ class MultiPoly:
 
     def __init__(self, field: Field, variables: tuple[str, ...], terms: dict):
         clean = {}
-        for mon, coeff in terms.items():
-            c = field.coerce(coeff)
+        kind = CycElem if field.is_cyclotomic else Fraction
+        for mon, c in terms.items():
+            # a scalar of this very field is kept; anything else is coerced
+            if type(c) is not kind or (kind is CycElem and c.field is not field):
+                c = field.coerce(c)
             if c:
                 if len(mon) != len(variables):
                     raise ValueError("exponent arity mismatch")
@@ -282,17 +286,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def eval_scalars(self, values: list):
-        """Evaluate at a scalar point (list aligned with self.vars)."""
-        acc = self.field.zero
-        for m, c in self.terms.items():
-            t = c
-            for i, e in enumerate(m):
-                if e:
-                    t = t * (self.field.coerce(values[i]) ** e)
-            acc = acc + t
-        return acc
-
     def embed(self, variables: tuple[str, ...]) -> "MultiPoly":
         """Re-express in a larger ring containing all current variables."""
         index = [variables.index(v) for v in self.vars]
@@ -301,22 +294,6 @@ class MultiPoly:
             mm = [0] * len(variables)
             for i, e in enumerate(m):
                 mm[index[i]] = e
-            out[tuple(mm)] = c
-        return MultiPoly(self.field, variables, out)
-
-    def restrict(self, variables: tuple[str, ...]) -> "MultiPoly":
-        """Re-express in a smaller ring; fails if other variables occur."""
-        index = {}
-        for i, v in enumerate(self.vars):
-            index[i] = variables.index(v) if v in variables else None
-        out = {}
-        for m, c in self.terms.items():
-            mm = [0] * len(variables)
-            for i, e in enumerate(m):
-                if e:
-                    if index[i] is None:
-                        raise ValueError(f"variable {self.vars[i]} occurs")
-                    mm[index[i]] = e
             out[tuple(mm)] = c
         return MultiPoly(self.field, variables, out)
 
@@ -1048,10 +1025,6 @@ class RationalFn:
 
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
-
-    @classmethod
-    def from_scalar(cls, field, variables, value):
-        return cls(MultiPoly.const(field, variables, value))
 
     def __add__(self, other):
         other = self._lift(other)

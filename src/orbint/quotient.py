@@ -69,9 +69,6 @@ class LocalModel:
 
     # -- ring movers ---------------------------------------------------------
 
-    def up_poly(self, terms) -> MultiPoly:
-        return MultiPoly(self.field, self.uvars, terms)
-
     def theta_images(self) -> dict[str, MultiPoly]:
         """Substitution map y_j -> theta_j(u) into the upstairs ring."""
         return {y: th for y, th in zip(self.yvars, self.thetas)}

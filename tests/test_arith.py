@@ -1,5 +1,6 @@
 """Exact scalars, univariate factorization, and linear algebra."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -259,6 +260,138 @@ def test_determinant():
     assert determinant(QQ, [[1, 2], [3, 4]]) == Fraction(-2)
     z = K3.generator
     assert determinant(K3, [[z, 0], [0, z * z]]) == 1
+
+
+# --- the integer elimination kernel -----------------------------------------
+# Seeded random systems over Q and Q(zeta_n), n = 3, 4, 5, 8, 12, checked
+# against a plain Gauss-Jordan reference and a cofactor determinant written
+# here.  Degrees 4 (n = 5, 8, 12) have three nontrivial Galois conjugates, so
+# an exact division by anything but the full norm fails there.
+
+KERNEL_FIELDS = [QQ] + [CyclotomicField(n) for n in (3, 4, 5, 8, 12)]
+
+
+def random_scalar(field, rng):
+    if rng.random() < 0.35:
+        return field.zero
+    coords = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+              for _ in range(1 if field == QQ else field.degree)]
+    return coords[0] if field == QQ else CycElem(field, tuple(coords))
+
+
+def random_system(field, rng):
+    """A x = b with non-integral entries; some systems have zero rows or
+    columns, rank below min(rows, cols), more rows than columns, or an
+    inconsistent right-hand side."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+    if rng.random() < 0.4:     # rank deficient: combinations of a few rows
+        base = [[random_scalar(field, rng) for _ in range(ncols)]
+                for _ in range(rng.randint(1, max(1, min(nrows, ncols) - 1)))]
+        a = []
+        for _ in range(nrows):
+            coeffs = [random_scalar(field, rng) for _ in base]
+            a.append([sum((c * row[j] for c, row in zip(coeffs, base)), field.zero)
+                      for j in range(ncols)])
+    else:
+        a = [[random_scalar(field, rng) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.2:
+        a[rng.randrange(nrows)] = [field.zero] * ncols
+    if rng.random() < 0.2:
+        zero_col = rng.randrange(ncols)
+        for row in a:
+            row[zero_col] = field.zero
+    if rng.random() < 0.5:
+        x0 = [random_scalar(field, rng) for _ in range(ncols)]
+        b = [dot(field, row, x0) for row in a]
+    else:
+        b = [random_scalar(field, rng) for _ in range(nrows)]
+    return a, b
+
+
+def dot(field, row, x):
+    return sum((field.coerce(r) * field.coerce(v) for r, v in zip(row, x)), field.zero)
+
+
+def reference_rank(field, rows):
+    """Rank by Gauss-Jordan with field division."""
+    m = [[field.coerce(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][c].inverse() if field != QQ else 1 / m[rank][c]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def free_columns(field, a):
+    """Columns that do not raise the rank of the columns before them."""
+    ncols = len(a[0])
+    ranks = [reference_rank(field, [row[:c] for row in a]) if c else 0
+             for c in range(ncols + 1)]
+    return [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
+
+
+def cofactor_det(field, m):
+    if len(m) == 1:
+        return field.coerce(m[0][0])
+    total = field.zero
+    for j, x in enumerate(m[0]):
+        if x:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = field.coerce(x) * cofactor_det(field, minor)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_solve_linear_random_systems(field):
+    rng = random.Random(f"solve:{field!r}")
+    seen_inconsistent = seen_free = 0
+    for _ in range(60):
+        a, b = random_system(field, rng)
+        sol = solve_linear(field, a, b)
+        augmented = [row + [rhs] for row, rhs in zip(a, b)]
+        rank = reference_rank(field, a)
+        if not sol.consistent:
+            seen_inconsistent += 1
+            assert sol.solution is None and sol.nullspace == ()
+            assert reference_rank(field, augmented) > rank
+            # the witness row's coefficients are a combination of the other
+            # rows, so an inconsistency certificate y (y A = 0, y b != 0)
+            # uses it: the witness row cannot be satisfied with the others
+            others = a[:sol.witness] + a[sol.witness + 1:]
+            assert (reference_rank(field, others) if others else 0) == rank
+            continue
+        assert reference_rank(field, augmented) == rank
+        x = sol.solution
+        assert all(dot(field, row, x) == rhs for row, rhs in zip(a, b))
+        free = free_columns(field, a)
+        seen_free += bool(free)
+        assert all(x[f] == 0 for f in free)
+        assert len(sol.nullspace) == len(free) == len(a[0]) - rank
+        for f, v in zip(free, sol.nullspace):
+            assert [v[g] for g in free] == [int(g == f) for g in free]
+            assert all(dot(field, row, v) == 0 for row in a)
+    assert seen_inconsistent and seen_free
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_determinant_matches_cofactor_expansion(field):
+    rng = random.Random(f"det:{field!r}")
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        m = [[random_scalar(field, rng) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:     # singular: a repeated row
+            m[rng.randrange(n)] = list(m[rng.randrange(n)])
+        assert determinant(field, m) == cofactor_det(field, m)
 
 
 def test_factor_over_gaussian_extension():
