@@ -28,7 +28,7 @@ from .quotient import (LocalModel, build_model, catalog_model,
                        express_in_invariants, model_a1, model_a2,
                        model_product, model_trivial, norm_polynomial)
 from .scene import Scene, parse_scene
-from .cli import run
+from . import verify
 
 __version__ = "0.1.0"
 
@@ -50,3 +50,14 @@ __all__ = [
     "total_intersection_number", "trace_form", "using",
     "verify_direct_factor", "wedge",
 ]
+
+
+def __getattr__(name):
+    # `cli` and `run` are resolved on first use, so that `python -m orbint.cli`
+    # does not find the module already imported by the package (runpy's
+    # RuntimeWarning)
+    if name in ("cli", "run"):
+        import importlib
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else cli.run
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,10 @@ eigenvalue method: a random linear form ell (from a caller-provided seeded
 generator), the characteristic polynomial of multiplication-by-ell on the
 quotient algebra, its factorization, and one point cluster per irreducible
 factor.  A cluster's residue degree must match the factor degree; otherwise
-ell failed to separate and a fresh form is drawn.
+ell failed to separate and a fresh form is drawn.  A simple factor p of chi
+needs no check: its generalized eigenspace has dimension deg p, so each of
+its deg p roots is ell(P) at exactly one point P with a one-dimensional local
+algebra, and I + <p(ell)> is already the radical cluster ideal.
 
 Positive-dimensional proper intersections are supported only in the certified
 subclass where the reduced Groebner basis of the pair sum is in solved-graph
@@ -352,10 +355,17 @@ def is_proper(model: LocalModel, x: DownstairsCycle,
 def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
     """Split a zero-dimensional algebra into point clusters.
 
-    Draws a random linear form ell, factors the characteristic polynomial of
-    multiplication-by-ell, and carves one cluster per irreducible factor.
+    Draws a random linear form ell, factors the characteristic polynomial chi
+    of multiplication-by-ell, and carves one cluster per irreducible factor.
     Retries with a fresh ell when the residue degree of a carved cluster
     disagrees with its factor degree (separation failure).
+
+    A factor p with exponent 1 is never rejected and needs no radical: its
+    generalized eigenspace has dimension deg p, so its deg p roots are the
+    values of ell at deg p reduced points, and the cluster is I + <p(ell)>
+    with residue degree deg p.  When chi = p, Cayley-Hamilton puts
+    p(ell) = chi(ell) in I and the cluster is I itself.  Factors with
+    exponent e > 1 take the radical of I + <p(ell)> and check its degree.
     """
     if ideal.is_unit():
         return []
@@ -375,17 +385,21 @@ def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
         matrix = ideal.multiplication_matrix(ell)
         chi = char_poly(field, matrix)
         factors = factor_univariate(chi)
+        if len(factors) == 1 and factors[0][1] == 1:
+            return [PointCluster(ideal, total, 1)]
         clusters = []
         consistent = True
         for p, e in factors:
             p_of_ell = MultiPoly.zero(field, ideal.vars)
-            for i, c in enumerate(p.coeffs):
-                p_of_ell = p_of_ell + (ell ** i) * c
+            for c in reversed(p.coeffs):
+                p_of_ell = p_of_ell * ell + c
             carved = Ideal(field, ideal.vars,
                            list(ideal.gens) + [p_of_ell])
+            if e == 1:
+                clusters.append(PointCluster(carved, p.degree, 1))
+                continue
             maximal = carved.radical_zero_dim()
-            r = len(Ideal(field, ideal.vars,
-                          list(maximal.gens)).quotient_basis())
+            r = len(maximal.quotient_basis())
             if r != p.degree:
                 consistent = False
                 last_error = (f"linear form {ell!r} gave residue degree {r} "

@@ -55,3 +55,64 @@ def test_tracer_wraps_the_engine_and_matches_cprofile():
     assert out["mismatches"] == []
     assert out["results"] == [True, True, True]
     assert out["solve_calls"] > 0
+
+
+SPLIT_SCRIPT = """
+import json, random, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from orbint import QQ, CyclotomicField, Ideal, MultiPoly, split_clusters
+
+
+class Forms(random.Random):
+    # counts the linear forms split_clusters draws; an all-zero draw is
+    # skipped without an attempt
+    def __init__(self, seed, n):
+        super().__init__(seed)
+        self.n, self.draw, self.attempts = n, [], 0
+
+    def randint(self, lo, hi):
+        value = super().randint(lo, hi)
+        self.draw.append(value)
+        if len(self.draw) == self.n:
+            self.attempts += any(self.draw)
+            self.draw = []
+        return value
+
+
+rows = []
+for field in (QQ, CyclotomicField(3)):
+    vs = ("t1", "t2")
+    t1, t2 = (MultiPoly.var(field, vs, v) for v in vs)
+    for gens in ([t1 ** 2 - 1, t2 ** 2 - 1], [t2 - t1 ** 2, t2],
+                 [t1 ** 2 - 2, t2 - t1], [t2 - t1 ** 3, t2 - t1]):
+        for seed in range(6):
+            before = (tracer.count("arith.char_poly"),
+                      tracer.count("arith.factor_univariate"),
+                      len(tracer.split_attempts))
+            rng = Forms(seed, 2)
+            split_clusters(Ideal(field, vs, gens), rng)
+            rows.append([rng.attempts,
+                         tracer.count("arith.char_poly") - before[0],
+                         tracer.count("arith.factor_univariate") - before[1],
+                         tracer.split_attempts[before[2]:]])
+print(json.dumps(rows))
+"""
+
+
+def test_split_clusters_makes_one_char_poly_and_one_factorization_per_attempt():
+    """`cycle.split_clusters.attempts` counts the `char_poly` calls inside a
+    `split_clusters` span, so nothing that span calls may compute another
+    characteristic polynomial; and each attempt factors chi exactly once."""
+    script = SPLIT_SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(rows) == 48
+    assert any(attempts > 1 for attempts, *_ in rows)
+    for attempts, char_polys, factorizations, traced in rows:
+        assert char_polys == factorizations == attempts
+        assert traced == [attempts]

@@ -1,10 +1,12 @@
 """Cycle calculus: quotient pull/push, intersections, maps, families."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from orbint.arith import QQ
+from orbint import budgets
+from orbint.arith import QQ, CyclotomicField, char_poly, factor_univariate
 from orbint.cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
                           UpstairsCycle, conservation_check, f_product,
                           intersect_model, intersect_upstairs, is_proper,
@@ -12,7 +14,8 @@ from orbint.cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
                           pushforward, pushforward_along_map, specialize,
                           split_clusters, total_intersection_number)
 from orbint.errors import (NotProper, PositiveDimensionalIntersection,
-                           SpecializationDegenerate, UnsupportedPreimageShape)
+                           SeparationFailure, SpecializationDegenerate,
+                           UnsupportedPreimageShape)
 from orbint.poly import Ideal, MultiPoly
 from orbint.quotient import model_trivial, norm_polynomial
 
@@ -164,6 +167,125 @@ def test_split_irrational_cluster(trivial2, rng):
     assert len(clusters) == 1
     assert clusters[0].residue_degree == 2
     assert clusters[0].multiplicity == 1
+
+
+def _evaluate(p, f):
+    """p(f) for a univariate p and a polynomial f, by the power sum."""
+    out = MultiPoly.zero(f.field, f.vars)
+    for i, c in enumerate(p.coeffs):
+        out = out + (f ** i) * c
+    return out
+
+
+def _reference_split(ideal, rng):
+    """split_clusters without the simple-factor rule: every factor's cluster
+    is the radical of I + <p(ell)>, its residue degree read off the radical's
+    quotient basis.  Also checks Cayley-Hamilton, chi(ell) in I, per form."""
+    field, n = ideal.field, ideal.n
+    total = len(ideal.quotient_basis())
+    last_error = "no attempt made"
+    retries = budgets.current().separation_retries
+    for attempt in range(retries):
+        bound = 2 + attempt
+        coeffs = [rng.randint(-bound, bound) for _ in range(n)]
+        if not any(coeffs):
+            continue
+        ell = MultiPoly.zero(field, ideal.vars)
+        for c, v in zip(coeffs, ideal.vars):
+            ell = ell + MultiPoly.var(field, ideal.vars, v) * c
+        chi = char_poly(field, ideal.multiplication_matrix(ell))
+        assert ideal.contains(_evaluate(chi, ell))
+        factors = factor_univariate(chi)
+        clusters = []
+        for p, e in factors:
+            carved = ideal + Ideal(field, ideal.vars, [_evaluate(p, ell)])
+            maximal = carved.radical_zero_dim()
+            r = len(maximal.quotient_basis())
+            if r != p.degree:
+                last_error = (f"linear form {ell!r} gave residue degree {r} "
+                              f"vs factor degree {p.degree}")
+                break
+            clusters.append((maximal.canonical_key(), r, e))
+        else:
+            if sum(r * e for _, r, e in clusters) == total:
+                return clusters, [e for _, e in factors]
+            last_error = "cluster dimensions do not add up"
+    raise SeparationFailure(f"no separating linear form within {retries} "
+                            f"retries: " + last_error)
+
+
+def _random_point_sum(field, rnd):
+    """A seeded zero-dimensional sum of two primes in (t1, t2).  Mostly a
+    graph t2 = a(t1) meeting the graph t2 = a(t1) - h(t1), where h multiplies
+    linear, quadratic and squared factors (transversal and tangent points,
+    rational and conjugate ones); otherwise a grid <t1^2 - d1> + <t2^2 - d2>,
+    where a form may take one value at two points and fail to separate."""
+    vs = ("t1", "t2")
+    t1, t2 = MultiPoly.var(field, vs, "t1"), MultiPoly.var(field, vs, "t2")
+    zeta = field.generator if field.is_cyclotomic else 0
+
+    def scalar():
+        return field.coerce(rnd.randint(-2, 2)) + zeta * rnd.randint(-1, 1)
+
+    if rnd.random() < 0.25:
+        return (Ideal(field, vs, [t1 ** 2 - rnd.choice((2, 3, 5))])
+                + Ideal(field, vs, [t2 ** 2 - rnd.choice((2, 3, 5))]))
+    a = sum((t1 ** k * scalar() for k in range(4)), MultiPoly.zero(field, vs))
+    h, degree = MultiPoly.const(field, vs, 1), rnd.randint(2, 5)
+    while h.total_degree() < degree:
+        piece = rnd.choice((t1 - scalar(), t1 ** 2 - rnd.choice((2, 5)),
+                            t1 ** 2 + t1 + 1))
+        h = h * piece ** rnd.choice((1, 1, 2))
+    return Ideal(field, vs, [t2 - a]) + Ideal(field, vs, [t2 - a + h])
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)],
+                         ids=["QQ", "zeta3"])
+def test_split_matches_radical_reference(field):
+    rnd = random.Random(9)
+    spectra = set()
+    for seed in range(24):
+        ideal = _random_point_sum(field, rnd)
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        ref, exponents = _reference_split(ideal, ref_rng)
+        got = split_clusters(ideal, got_rng)
+        assert [(c.ideal.canonical_key(), c.residue_degree, c.multiplicity)
+                for c in got] == ref
+        assert got_rng.getstate() == ref_rng.getstate()
+        assert sum(r * e for _, r, e in ref) == len(ideal.quotient_basis())
+        spectra.add("one simple factor" if exponents == [1]
+                    else "repeated" if max(exponents) > 1 else "several simple")
+    assert spectra == {"one simple factor", "several simple", "repeated"}
+
+
+class _ScriptedRng:
+    """Stands in for random.Random: randint returns the scripted values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randint(self, lo, hi):
+        return self.values.pop(0)
+
+
+def test_split_retries_after_a_repeated_factor(trivial2):
+    t1, t2 = up(trivial2, "t1"), up(trivial2, "t2")
+    j = prime(trivial2, t1 ** 2 - 1, t2 ** 2 - 1)
+    # t1 + t2 takes the value 0 at two points: factor t with exponent 2 and
+    # a residue-degree-2 cluster, so a second form t1 + 2 t2 is drawn
+    rng = _ScriptedRng(1, 1, 1, 2)
+    clusters = split_clusters(j, rng)
+    assert rng.values == []
+    assert [(c.residue_degree, c.multiplicity) for c in clusters] == [(1, 1)] * 4
+    points = {c.ideal.canonical_key() for c in clusters}
+    assert points == {prime(trivial2, t1 - a, t2 - b).canonical_key()
+                      for a in (1, -1) for b in (1, -1)}
+    with budgets.using(budgets.Budget(separation_retries=1)):
+        with pytest.raises(SeparationFailure) as err:
+            split_clusters(j, _ScriptedRng(1, 1))
+    assert str(err.value) == (
+        "no separating linear form within 1 retries: linear form t1 + t2 "
+        "gave residue degree 2 vs factor degree 1")
 
 
 # --- intersection products ---------------------------------------------------------

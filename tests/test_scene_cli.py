@@ -282,16 +282,40 @@ def test_main_echoes_flag_budget(capsys):
     assert "max_pairs=20" in out.splitlines()[1]
 
 
-def test_python_dash_m_orbint(capsys):
-    assert main([str(SCENES / "cone.scene")]) == 0
-    expected = capsys.readouterr().out
+def _python(*args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "orbint",
-                           str(SCENES / "cone.scene")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_orbint(capsys):
+    assert main([str(SCENES / "cone.scene")]) == 0
+    expected = capsys.readouterr().out
+    proc = _python("-m", "orbint", str(SCENES / "cone.scene"))
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == expected
+
+
+def test_python_dash_m_orbint_cli_is_quiet(capsys):
+    assert main([str(SCENES / "cone.scene")]) == 0
+    expected = capsys.readouterr().out
+    proc = _python("-m", "orbint.cli", str(SCENES / "cone.scene"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == expected
+
+
+def test_package_resolves_cli_lazily():
+    proc = _python("-c", "import orbint, sys\n"
+                   "assert 'orbint.cli' not in sys.modules\n"
+                   "from orbint import run\n"
+                   "assert orbint.cli.run is run is orbint.run\n"
+                   "assert orbint.verify.random_prime and orbint.forms\n"
+                   "assert 'run' in orbint.__all__\n"
+                   "print('ok')")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
