@@ -11,8 +11,11 @@ Operationally trace_form symmetrizes the input over G and solves
 q^(alpha) = omega_sym by exact linear algebra over an ansatz of downstairs
 forms: polynomial numerators of bounded degree over a configured finite set
 of invariant denominators (by default 1, the expressed coordinate norms, and
-their squarefree products).  The solved form is re-verified exactly before
-being returned.
+their squarefree products).  Each downstairs monomial and denominator is
+pulled up once per trace, and the ansatz matrix is built once per numerator
+degree bound: only the right-hand side, and the zero rows its extra
+monomials add, depends on the denominator.  The solved form is re-verified
+exactly before being returned.
 """
 
 from __future__ import annotations
@@ -335,11 +338,21 @@ def trace_form(model: LocalModel, omega: DiffForm,
         basis_form = DiffForm(field, model.yvars, p,
                               {t: RationalFn(MultiPoly.const(field, model.yvars, 1))})
         pulled_basis[t] = q_pullback(model, basis_form)
+    pulled: dict = {}   # downstairs monomial or denominator -> its pull-back
+
+    def pull(poly: MultiPoly) -> MultiPoly:
+        up = pulled.get(poly)
+        if up is None:
+            up = pulled[poly] = model.pull_poly(poly)
+        return up
+
     for bound in range(max_degree + 1):
         monomials = _monomials_up_to(field, model.yvars, bound)
+        unknowns, blocks = _ansatz(model, omega_sym, tuples, pulled_basis,
+                                   [(m, pull(m)) for m in monomials])
         for den in dens:
-            alpha = _solve_single_denominator(model, omega_sym, tuples,
-                                              pulled_basis, monomials, den)
+            alpha = _solve_single_denominator(model, omega_sym, unknowns,
+                                              blocks, den, pull(den))
             if alpha is not None:
                 return alpha
     raise AnsatzExhausted(
@@ -364,18 +377,23 @@ def _monomials_up_to(field, variables, bound: int) -> list[MultiPoly]:
     return out
 
 
-def _solve_single_denominator(model, omega_sym, tuples, pulled_basis,
-                              monomials, den):
-    """Try alpha = (sum_j c_j m_j dy_T) / den; returns the form or None."""
+def _ansatz(model, omega_sym, tuples, pulled_basis, monomials):
+    """The part of the trace system that no denominator changes.
+
+    The unknowns c_j belong to (t, m) for each index tuple t and each
+    (m, q^m) in `monomials`; column j is q^(m dy_T) = sum_idx col_j[idx] du_idx.
+    For alpha = sum_j c_j m_j dy_T / den, the system q^(alpha) = omega_sym
+    reads sum_j c_j col_j[idx] * t_den = t_num * q^(den) for each index idx of
+    the upstairs forms, with omega_sym[idx] = t_num/t_den, one equation per
+    monomial.  Returns the unknowns and, per idx in sorted order, t_num (None
+    where omega_sym has no such term) and the left-hand rows keyed by
+    monomial.
+    """
     field = model.field
-    den_up = model.pull_poly(den)
-    if den_up.is_zero():
-        return None
     unknowns = []
     columns = []
     for t in tuples:
-        for m in monomials:
-            m_up = model.pull_poly(m)
+        for m, m_up in monomials:
             col = {}
             for idx, c in pulled_basis[t].terms.items():
                 # c is polynomial over a trivial denominator by construction
@@ -384,35 +402,42 @@ def _solve_single_denominator(model, omega_sym, tuples, pulled_basis,
                     col[idx] = num
             unknowns.append((t, m))
             columns.append(col)
-    # equations: sum_j c_j col_j[idx] = omega_sym[idx] * den_up, cleared of
-    # the rational-function denominators of omega_sym
-    all_idx = sorted({i for c in columns for i in c} | set(omega_sym.terms))
+    blocks = []
+    for idx in sorted({i for c in columns for i in c} | set(omega_sym.terms)):
+        target = omega_sym.terms.get(idx)
+        t_num = None if target is None else target.num
+        t_den = None if target is None or target.den.is_constant() else target.den
+        lhs_rows: dict = {}
+        for j, col in enumerate(columns):
+            poly = col.get(idx)
+            if poly is None:
+                continue
+            if t_den is not None:
+                poly = poly * t_den
+            for mono, c in poly.terms.items():
+                row = lhs_rows.get(mono)
+                if row is None:
+                    row = lhs_rows[mono] = [field.zero] * len(columns)
+                row[j] = c
+        blocks.append((t_num, lhs_rows))
+    return unknowns, blocks
+
+
+def _solve_single_denominator(model, omega_sym, unknowns, blocks, den, den_up):
+    """Try alpha = (sum_j c_j m_j dy_T) / den, given den_up = q^(den) and the
+    system from `_ansatz`; returns the form or None."""
+    field = model.field
+    if den_up.is_zero():
+        return None
+    # the rows are shared between denominators; solve_linear only reads them
+    zero_row = [field.zero] * len(unknowns)
     rows = []
     rhs = []
-    for idx in all_idx:
-        target = omega_sym.terms.get(idx)
-        if target is None:
-            t_num = MultiPoly.zero(field, model.uvars)
-            t_den = MultiPoly.const(field, model.uvars, 1)
-        else:
-            t_num, t_den = target.num, target.den
-        # equation over polynomials: sum c_j col_j * t_den = t_num * den_up
-        lhs_cols = []
-        for col in columns:
-            poly = col.get(idx)
-            lhs_cols.append(poly * t_den if poly is not None else None)
-        rhs_poly = t_num * den_up
-        monoms = set(rhs_poly.terms)
-        for pc in lhs_cols:
-            if pc is not None:
-                monoms |= set(pc.terms)
-        for mono in sorted(monoms):
-            row = []
-            for pc in lhs_cols:
-                row.append(pc.terms.get(mono, field.zero) if pc is not None
-                           else field.zero)
-            rows.append(row)
-            rhs.append(rhs_poly.terms.get(mono, field.zero))
+    for t_num, lhs_rows in blocks:
+        rhs_terms = {} if t_num is None else (t_num * den_up).terms
+        for mono in sorted(lhs_rows.keys() | rhs_terms.keys()):
+            rows.append(lhs_rows.get(mono, zero_row))
+            rhs.append(rhs_terms.get(mono, field.zero))
     if not rows:
         return None
     sol = solve_linear(field, rows, rhs)

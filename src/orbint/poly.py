@@ -778,10 +778,9 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    used = a.support_vars() | b.support_vars()
-    if not used:
+    if a.is_constant() or b.is_constant():
         return MultiPoly.const(a.field, a.vars, 1)
-    v = max(used)
+    v = max(a.support_vars() | b.support_vars())
     if a.degree_in(v) == 0 or b.degree_in(v) == 0:
         # one argument is free of the main variable: gcd divides contents
         free, other = (a, b) if a.degree_in(v) == 0 else (b, a)
@@ -986,7 +985,26 @@ def _kronecker_split(p: MultiPoly) -> list[MultiPoly]:
 # ---------------------------------------------------------------------------
 
 class RationalFn:
-    """num/den in lowest terms with a monic denominator."""
+    """num/den in lowest terms with a monic denominator.
+
+    Every value keeps one invariant: gcd(num, den) = 1, den has leading
+    coefficient 1 under GREVLEX, and zero is 0/1.  That form is unique, so
+    equal functions have equal terms and every repr is canonical.  The
+    public constructor reduces by one `mp_gcd`.  Arithmetic starts from
+    operands that already keep the invariant, so it divides out only the
+    factors they can share (Henrici, JACM 3 (1956); Knuth, TAOCP vol. 2,
+    4.5.1):
+
+    - a/b * c/d = (a/g * c/h) / (b/h * d/g) with g = gcd(a, d) and
+      h = gcd(c, b); a gcd with a constant side is 1 and is not computed;
+    - a scalar multiple needs no gcd;
+    - a/b + c/d needs no gcd when b or d is 1; when b = d it is (a + c)/b
+      reduced by gcd(a + c, b); otherwise (ad + cb)/(bd) reduced by a full
+      gcd;
+    - a/b / c/d = a/b * d/c.
+
+    Results are built by `_coprime`, which only makes the denominator monic.
+    """
 
     __slots__ = ("num", "den")
 
@@ -995,15 +1013,24 @@ class RationalFn:
             den = MultiPoly.const(num.field, num.vars, 1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = MultiPoly.const(num.field, num.vars, 1)
-        else:
-            g = mp_gcd(num, den)
-            if not g.is_constant():
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
-            _, lc = den.leading(GREVLEX)
-            inv = num.field.one / lc
+        g = mp_gcd(num, den)
+        if not g.is_constant():
+            num = poly_div_exact(num, g)
+            den = poly_div_exact(den, g)
+        self._store(num, den)
+
+    @classmethod
+    def _coprime(cls, num: MultiPoly, den: MultiPoly) -> "RationalFn":
+        """num/den for coprime num and den (num zero only over den = 1)."""
+        self = object.__new__(cls)
+        self._store(num, den)
+        return self
+
+    def _store(self, num: MultiPoly, den: MultiPoly):
+        _, lc = den.leading(GREVLEX)
+        one = num.field.one
+        if lc != one:
+            inv = one / lc
             num = num * inv
             den = den * inv
         object.__setattr__(self, "num", num)
@@ -1026,22 +1053,31 @@ class RationalFn:
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
 
+    def _polynomial(self, num: MultiPoly) -> "RationalFn":
+        return RationalFn._coprime(num, MultiPoly.const(self.field, self.vars, 1))
+
     def __add__(self, other):
         other = self._lift(other)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if d.is_constant():
+            return RationalFn._coprime(a + c if b.is_constant() else a + c * b, b)
+        if b.is_constant():
+            return RationalFn._coprime(a * d + c, d)
+        if b == d:
+            return RationalFn(a + c, b)
+        return RationalFn(a * d + c * b, b * d)
 
     __radd__ = __add__
 
     def _lift(self, other) -> "RationalFn":
         if isinstance(other, RationalFn):
             return other
-        if isinstance(other, MultiPoly):
-            return RationalFn(other)
-        return RationalFn(MultiPoly.const(self.field, self.vars, other))
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(self.field, self.vars, other)
+        return self._polynomial(other)
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den)
+        return RationalFn._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -1050,8 +1086,23 @@ class RationalFn:
         return self._lift(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, (RationalFn, MultiPoly)):
+            num = self.num * other
+            return (self._polynomial(num) if num.is_zero()
+                    else RationalFn._coprime(num, self.den))
         other = self._lift(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return self._polynomial(MultiPoly.zero(self.field, self.vars))
+        if not (a.is_constant() or d.is_constant()):
+            g = mp_gcd(a, d)
+            if not g.is_constant():
+                a, d = poly_div_exact(a, g), poly_div_exact(d, g)
+        if not (c.is_constant() or b.is_constant()):
+            g = mp_gcd(c, b)
+            if not g.is_constant():
+                c, b = poly_div_exact(c, g), poly_div_exact(b, g)
+        return RationalFn._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -1059,21 +1110,26 @@ class RationalFn:
         other = self._lift(other)
         if other.is_zero():
             raise ZeroDivisionError
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return self * RationalFn._coprime(other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __eq__(self, other):
-        if not isinstance(other, (RationalFn, MultiPoly, int, Fraction)):
+        if not isinstance(other, (RationalFn, MultiPoly, int, Fraction, CycElem)):
             return NotImplemented
-        other = self._lift(other)
+        try:
+            other = self._lift(other)
+        except ValueError:
+            return False    # a cyclotomic scalar outside this field
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def derivative(self, idx: int) -> "RationalFn":
+        if self.den.is_constant():
+            return RationalFn._coprime(self.num.derivative(idx), self.den)
         return RationalFn(self.num.derivative(idx) * self.den
                           - self.num * self.den.derivative(idx),
                           self.den * self.den)

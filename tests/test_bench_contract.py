@@ -34,14 +34,19 @@ for name in ("A1", "A2", "product(A1, trivial-1)"):
     model = orbint.catalog_model(name)
     field, yvars = model.field, model.yvars
     y0 = MultiPoly.var(field, yvars, yvars[0])
-    coeff = RationalFn(y0 * y0 + MultiPoly.const(field, yvars, 1))
-    alpha = DiffForm(field, yvars, 1, {{(0,): coeff}})
-    (_, ok), = orbint.verify_direct_factor(model, [alpha])
-    results.append(ok)
+    one = MultiPoly.const(field, yvars, 1)
+    # a polynomial coefficient, and one over a denominator, whose pull-back,
+    # symmetrization and trace reach RationalFn's cross-gcd and
+    # equal-denominator rules
+    for coeff in (RationalFn(y0 * y0 + one), RationalFn(y0 + one * 2, y0)):
+        alpha = DiffForm(field, yvars, 1, {{(0,): coeff}})
+        (_, ok), = orbint.verify_direct_factor(model, [alpha])
+        results.append(ok)
 profile.disable()
 print(json.dumps({{"unresolved": unresolved, "results": results,
                   "mismatches": tracer.coverage_mismatches(profile),
-                  "solve_calls": tracer.count("arith.solve_linear")}}))
+                  "solve_calls": tracer.count("arith.solve_linear"),
+                  "gcd_calls": tracer.count("poly.mp_gcd")}}))
 """
 
 
@@ -53,8 +58,9 @@ def test_tracer_wraps_the_engine_and_matches_cprofile():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["unresolved"] == []
     assert out["mismatches"] == []
-    assert out["results"] == [True, True, True]
+    assert out["results"] == [True] * 6
     assert out["solve_calls"] > 0
+    assert out["gcd_calls"] > 0
 
 
 SPLIT_SCRIPT = """

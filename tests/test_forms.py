@@ -1,10 +1,12 @@
 """Differential forms: wedge, d, pull-back, group action, trace descent."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from orbint import forms
 from orbint.arith import QQ
 from orbint.budgets import Budget
 from orbint.errors import AnsatzExhausted, ChartMismatch
@@ -12,6 +14,7 @@ from orbint.forms import (DiffForm, act_form, default_denominators,
                           downstairs_equal, exterior_d, q_pullback, symmetrize,
                           trace_form, verify_direct_factor, wedge)
 from orbint.poly import MultiPoly, RationalFn
+from orbint.quotient import LocalModel, express_in_invariants
 
 
 def d_up(model, name):
@@ -232,3 +235,157 @@ def test_trace_identities_on_cyclotomic_model(a2):
     cand = wedge(dx, dy).scale(RationalFn(one, z * z * 3))
     assert q_pullback(a2, cand) == symmetrize(a2, vol)
     assert downstairs_equal(a2, trace_form(a2, vol), cand)
+
+
+# --- the trace system against the per-denominator reference -------------------
+
+def _reference_solve_single_denominator(model, omega_sym, tuples, pulled_basis,
+                                        monomials, den):
+    """The per-denominator builder the ansatz replaced: it pulls every
+    monomial and the denominator up and rebuilds every row for each
+    denominator it tries."""
+    field = model.field
+    den_up = model.pull_poly(den)
+    if den_up.is_zero():
+        return None
+    unknowns = []
+    columns = []
+    for t in tuples:
+        for m in monomials:
+            m_up = model.pull_poly(m)
+            col = {}
+            for idx, c in pulled_basis[t].terms.items():
+                num = c.num * m_up * (field.one / c.den.constant_value())
+                if not num.is_zero():
+                    col[idx] = num
+            unknowns.append((t, m))
+            columns.append(col)
+    all_idx = sorted({i for c in columns for i in c} | set(omega_sym.terms))
+    rows = []
+    rhs = []
+    for idx in all_idx:
+        target = omega_sym.terms.get(idx)
+        if target is None:
+            t_num = MultiPoly.zero(field, model.uvars)
+            t_den = MultiPoly.const(field, model.uvars, 1)
+        else:
+            t_num, t_den = target.num, target.den
+        lhs_cols = []
+        for col in columns:
+            poly = col.get(idx)
+            lhs_cols.append(poly * t_den if poly is not None else None)
+        rhs_poly = t_num * den_up
+        monoms = set(rhs_poly.terms)
+        for pc in lhs_cols:
+            if pc is not None:
+                monoms |= set(pc.terms)
+        for mono in sorted(monoms):
+            rows.append([pc.terms.get(mono, field.zero) if pc is not None
+                         else field.zero for pc in lhs_cols])
+            rhs.append(rhs_poly.terms.get(mono, field.zero))
+    if not rows:
+        return None
+    sol = forms.solve_linear(field, rows, rhs)
+    if not sol.consistent:
+        return None
+    terms = {}
+    for (t, m), c in zip(unknowns, sol.solution):
+        if c:
+            s = RationalFn(m * c, den)
+            terms[t] = s if t not in terms else terms[t] + s
+    alpha = DiffForm(field, model.yvars, omega_sym.degree,
+                     {t: c for t, c in terms.items() if not c.is_zero()})
+    return alpha if q_pullback(model, alpha) == omega_sym else None
+
+
+def _reference_trace(model, omega, budget):
+    omega_sym = symmetrize(model, omega)
+    p = omega.degree
+    field = model.field
+    if omega_sym.is_zero():
+        return DiffForm.zero(field, model.yvars, p)
+    dens = default_denominators(model)
+    coeff = omega_sym.terms.get(())
+    if p == 0 and coeff is not None and coeff.is_polynomial():
+        alpha = DiffForm.function(RationalFn(
+            express_in_invariants(model, coeff.num)))
+        if q_pullback(model, alpha) == omega_sym:
+            return alpha
+    tuples = list(itertools.combinations(range(len(model.yvars)), p))
+    one = RationalFn(MultiPoly.const(field, model.yvars, 1))
+    pulled_basis = {t: q_pullback(model, DiffForm(field, model.yvars, p, {t: one}))
+                    for t in tuples}
+    for bound in range(budget.ansatz_degree + 1):
+        monomials = forms._monomials_up_to(field, model.yvars, bound)
+        for den in dens:
+            alpha = _reference_solve_single_denominator(
+                model, omega_sym, tuples, pulled_basis, monomials, den)
+            if alpha is not None:
+                return alpha
+    raise AnsatzExhausted("reference ansatz exhausted")
+
+
+def _trace_samples(model, rng):
+    """Seeded downstairs forms pulled up, in degrees 0-2, with rational
+    scalars and default denominators, plus an upstairs form that needs a
+    denominator outside the default set."""
+    field, yvars = model.field, model.yvars
+    dens = default_denominators(model)
+    out = []
+    for degree in (0, 1, 1, 2):
+        slots = list(itertools.combinations(range(len(yvars)), degree))
+        terms = {}
+        for idx in rng.sample(slots, min(2, len(slots))):
+            num = MultiPoly.const(field, yvars, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+            for v in yvars:
+                num = num + MultiPoly.var(field, yvars, v) * rng.randint(-2, 2)
+            terms[idx] = RationalFn(num, dens[rng.randrange(len(dens))])
+        out.append(q_pullback(model, DiffForm(field, yvars, degree, terms)))
+    u0 = MultiPoly.var(field, model.uvars, model.uvars[0])
+    u1 = MultiPoly.var(field, model.uvars, model.uvars[1])
+    out.append(d_up(model, model.uvars[0]).scale(RationalFn(u1 * u1 + 1, u0 - 1)))
+    return out
+
+
+def test_trace_system_matches_the_per_denominator_reference(
+        a1, a2, prod_a1_t1, monkeypatch):
+    systems = []
+    real_solve = forms.solve_linear
+
+    def recording_solve(field, rows, rhs):
+        systems.append(([list(r) for r in rows], list(rhs)))
+        return real_solve(field, rows, rhs)
+
+    pulls = []
+    real_pull = LocalModel.pull_poly
+
+    def counting_pull(self, p):
+        pulls.append(p)
+        return real_pull(self, p)
+
+    monkeypatch.setattr(forms, "solve_linear", recording_solve)
+    monkeypatch.setattr(LocalModel, "pull_poly", counting_pull)
+    budget = Budget(ansatz_degree=2)
+    rng = random.Random(7)
+    seen = {"solved": 0, "exhausted": 0, "rational_target": 0}
+    for model in (a1, a2, prod_a1_t1):
+        for omega in _trace_samples(model, rng):
+            seen["rational_target"] += any(not c.is_polynomial()
+                                           for c in omega.terms.values())
+            outcomes = []
+            for trace in (forms.trace_form, _reference_trace):
+                systems.clear()
+                pulls.clear()
+                try:
+                    result = trace(model, omega, budget=budget)
+                except AnsatzExhausted:
+                    result = AnsatzExhausted
+                outcomes.append((result, list(systems)))
+                if trace is forms.trace_form:
+                    assert len(pulls) == len(set(pulls))
+            (got, got_systems), (want, want_systems) = outcomes
+            assert got_systems == want_systems
+            assert got == want
+            seen["solved" if got is not AnsatzExhausted else "exhausted"] += 1
+    assert seen["exhausted"] >= 3 and seen["solved"] >= 6
+    assert seen["rational_target"] >= 6, seen

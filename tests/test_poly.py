@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbint import poly
-from orbint.arith import QQ, char_poly
+from orbint.arith import QQ, CyclotomicField, char_poly
 from orbint.budgets import Budget, using
 from orbint.errors import EffortExceeded, NotZeroDimensional, UnitIdeal
 from orbint.poly import (GREVLEX, LEX, Ideal, MultiPoly, RationalFn,
@@ -397,6 +397,107 @@ def test_rational_fn_derivative():
     q = RationalFn(MultiPoly.const(QQ, XYZ, 1), x)
     dq = q.derivative(0)
     assert dq == RationalFn(MultiPoly.const(QQ, XYZ, -1), x ** 2)
+
+
+# The arithmetic before the coprime-factor rules: every result is reduced by
+# one full gcd in the public constructor.
+_ALWAYS_GCD = {
+    "+": lambda p, q: RationalFn(p.num * q.den + q.num * p.den, p.den * q.den),
+    "-": lambda p, q: RationalFn(p.num * q.den - q.num * p.den, p.den * q.den),
+    "*": lambda p, q: RationalFn(p.num * q.num, p.den * q.den),
+    "/": lambda p, q: RationalFn(p.num * q.den, p.den * q.num),
+}
+
+
+def _random_fraction(rng, field, vs, factors, scalars, den=None):
+    """A reduced fraction built from a small pool of factors, so that
+    operands often share factors; `den` forces the denominator."""
+    one = MultiPoly.const(field, vs, 1)
+    num = MultiPoly.const(field, vs, rng.choice(scalars))
+    if rng.random() < 0.15:
+        num = MultiPoly.zero(field, vs)
+    for f in rng.sample(factors, rng.randint(0, 2)):
+        num = num * f
+    if den is None:
+        den = one * rng.choice(scalars)
+        if rng.random() < 0.7:
+            for f in rng.sample(factors, rng.randint(1, 2)):
+                den = den * f
+    return RationalFn(num, den)
+
+
+@pytest.mark.parametrize("conductor", [None, 3])
+def test_rational_fn_arithmetic_matches_always_gcd_reference(conductor):
+    field = QQ if conductor is None else CyclotomicField(conductor)
+    vs = ("s", "t")
+    s, t = (MultiPoly.var(field, vs, v) for v in vs)
+    scalars = [1, -2, Fraction(3, 5), Fraction(-1, 4)]
+    if conductor is not None:
+        zeta = field.generator
+        scalars += [zeta, zeta * 2 + 1]
+    factors = [s, t, s + 1, s - t * scalars[-1], s * t - 2]
+    rng = random.Random(31)
+    seen = {"zero": 0, "const_den": 0, "equal_den": 0, "shared": 0}
+
+    def check(got, want):
+        assert got.num.terms == want.num.terms
+        assert got.den.terms == want.den.terms
+        assert got.den.leading(GREVLEX)[1] == field.one
+
+    for _ in range(150):
+        p = _random_fraction(rng, field, vs, factors, scalars)
+        same = rng.random() < 0.25
+        q = _random_fraction(rng, field, vs, factors, scalars,
+                             den=p.den if same else None)
+        seen["zero"] += p.is_zero() or q.is_zero()
+        seen["const_den"] += p.is_polynomial() or q.is_polynomial()
+        seen["equal_den"] += p.den == q.den and not p.den.is_constant()
+        seen["shared"] += (not mp_gcd(p.num, q.den).is_constant()
+                           or not mp_gcd(q.num, p.den).is_constant())
+        for op, got in (("+", p + q), ("-", p - q), ("*", p * q)):
+            check(got, _ALWAYS_GCD[op](p, q))
+        if not q.is_zero():
+            check(p / q, _ALWAYS_GCD["/"](p, q))
+        c = rng.choice(scalars + [0])
+        check(p * c, RationalFn(p.num * c, p.den))
+        check(c * p, RationalFn(p.num * c, p.den))
+        check(p * q.num, _ALWAYS_GCD["*"](p, RationalFn(q.num)))
+        check(p + c, _ALWAYS_GCD["+"](p, RationalFn(MultiPoly.const(field, vs, c))))
+        for i in range(len(vs)):
+            d = p.den
+            check(p.derivative(i),
+                  RationalFn(p.num.derivative(i) * d - p.num * d.derivative(i), d * d))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_rational_fn_compares_with_every_scalar_it_lifts():
+    k3 = CyclotomicField(3)
+    for field in (QQ, k3):
+        two = RationalFn(MultiPoly.const(field, XY, 2))
+        assert two == 2 and two == Fraction(2) and two == field.coerce(2)
+        assert two == k3.coerce(2)
+        assert two != 3 and two != k3.coerce(3)
+        assert two != RationalFn(x2)
+    zeta = k3.generator
+    rz = RationalFn(MultiPoly.const(k3, XY, zeta))
+    assert rz == zeta and zeta == rz
+    assert rz != zeta * zeta and rz != 1
+    # over QQ a scalar outside the field is simply unequal
+    assert RationalFn(MultiPoly.const(QQ, XY, 1)) != zeta
+    assert RationalFn(MultiPoly.const(QQ, XY, 1)) != CyclotomicField(5).generator
+
+
+def test_mp_gcd_with_a_constant_is_one_without_contents(monkeypatch):
+    calls = []
+    real = poly._content_in
+    monkeypatch.setattr(poly, "_content_in",
+                        lambda *args: calls.append(args) or real(*args))
+    one = MultiPoly.const(QQ, XYZ, 1)
+    for a, b in ((one * 3, (x + y) * z), ((x + y) * z, one * Fraction(-1, 2))):
+        assert mp_gcd(a, b) == one
+        assert mp_gcd(a, b).terms[(0, 0, 0)] == 1
+    assert calls == []
+    assert mp_gcd(MultiPoly.zero(QQ, XYZ), x * 2) == x
 
 
 # --- radical / minimal polynomials ---------------------------------------------
