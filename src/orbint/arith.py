@@ -21,11 +21,15 @@ guide; every returned factor is certified by exact trial division over Z).
 Over a cyclotomic extension we run squarefree decomposition and then attempt
 Trager's norm method; if no squarefree norm shift is found the squarefree
 parts are returned as-is, which downstream code treats as coarser clusters.
+There, as for scalars, norm = product of Galois conjugates: the norm of
+f(x - s*t) is the product of its images under every sigma_k, a polynomial
+with rational coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -642,17 +646,6 @@ def _zp_deriv(a, p):
     return _ztrim([(c * i) % p for i, c in enumerate(a)][1:])
 
 
-class _LCG:
-    """Tiny deterministic generator for equal-degree splitting."""
-
-    def __init__(self, seed):
-        self.state = seed & 0xFFFFFFFFFFFFFFFF or 1
-
-    def next(self, bound):
-        self.state = (6364136223846793005 * self.state + 1442695040888963407) % (1 << 64)
-        return self.state % bound
-
-
 def _zp_factor_squarefree(f, p):
     """Distinct-degree + Cantor-Zassenhaus over GF(p), f squarefree monic."""
     inv = pow(f[-1], -1, p)
@@ -674,7 +667,7 @@ def _zp_factor_squarefree(f, p):
         if len(g) - 1 > 0:
             todo_by_degree.append((g, d))
             v = _zp_divmod(v, g, p)[0]
-    rng = _LCG(p * 1000003 + len(f))
+    rng = random.Random(p * 1000003 + len(f))
     for block, d in todo_by_degree:
         stack = [block]
         while stack:
@@ -684,10 +677,7 @@ def _zp_factor_squarefree(f, p):
                 continue
             # random split: a^((p^d-1)/2) - 1 has a nontrivial gcd w.h.p.
             while True:
-                a = [rng.next(p) for _ in range(len(u) - 1)] + [1]
-                a = _ztrim([c % p for c in a])
-                if len(a) <= 1:
-                    continue
+                a = [rng.randrange(p) for _ in range(len(u) - 1)] + [1]
                 b = _zp_powmod(a, (p ** d - 1) // 2, u, p)
                 b = _ztrim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(b)])
                 g = _zp_gcd(b, u, p)
@@ -943,15 +933,15 @@ def _factor_cyclotomic(p: UniPoly) -> list[tuple[UniPoly, int]]:
 def _trager(f: UniPoly) -> list[UniPoly] | None:
     """Trager's norm method for squarefree f over a cyclotomic field.
 
-    Returns the monic irreducible factors, or None if no shift in the search
-    window yields a squarefree norm (callers then keep f unsplit).
+    For each shift s, the norm of f(x - s*t) (norm = product of Galois
+    conjugates, `_norm_poly`) is tried: when it is squarefree, its rational
+    factors g give the factors gcd(f, g(x + s*t)).  Returns the monic
+    irreducible factors, or None if no shift in the search window yields a
+    squarefree norm (callers then keep f unsplit).
     """
     field = f.field
-    phi = UniPoly(QQ, list(field.modulus))
     for s in (0, 1, -1, 2, -2, 3, -3):
-        norm = _norm_poly(f, s, phi)
-        if norm is None:
-            continue
+        norm = _norm_poly(f, s)
         if norm.gcd(norm.derivative()).degree != 0:
             continue
         factors = [g for g, _ in _factor_rational(norm)]
@@ -972,103 +962,17 @@ def _trager(f: UniPoly) -> list[UniPoly] | None:
     return None
 
 
-def _norm_poly(f: UniPoly, s: int, phi: UniPoly) -> UniPoly | None:
-    """Res_alpha(phi(alpha), f(x - s*alpha)) as a rational polynomial."""
+def _norm_poly(f: UniPoly, s: int) -> UniPoly:
+    """N(f(x - s*t)), the product of the Galois conjugates of g = f(x - s*t)
+    over all sigma_k, as a rational polynomial.  Phi_n is monic, so this is
+    Res_t(Phi_n(t), g); a rational g gives g^deg(Phi_n)."""
     field = f.field
-    d = field.degree
-    # g(alpha, x) = f(x - s*alpha): coefficients of alpha^i are Q-polys in x
-    # build as a list over alpha of UniPoly over Q in x
-    g: dict[int, list[Fraction]] = {}
-
-    def add_term(ai, xi, c):
-        if c == 0:
-            return
-        col = g.setdefault(ai, [])
-        while len(col) <= xi:
-            col.append(Fraction(0))
-        col[xi] += c
-
-    for k, ck in enumerate(f.coeffs):
-        ck = field.coerce(ck)
-        # (x - s*alpha)^k expanded: sum_j C(k,j) x^{k-j} (-s)^j alpha^j
-        for j in range(k + 1):
-            binom = math.comb(k, j) * (-s) ** j
-            if binom == 0:
-                continue
-            # ck itself is a poly in alpha of degree < d
-            for i, ci in enumerate(ck.coords):
-                if ci:
-                    add_term(i + j, k - j, ci * binom)
-    # reduce alpha powers >= d by phi? Not required for the resultant if we
-    # treat g as a genuine bivariate polynomial; but reduction keeps the
-    # Sylvester matrix small and the resultant equal up to lc(phi)=1 powers.
-    maxa = max(g) if g else 0
-    cols = [list(g.get(i, [])) for i in range(maxa + 1)]
-    mod = [Fraction(c) for c in phi.coeffs]
-    for i in range(maxa, d - 1, -1):
-        col = cols[i]
-        if not any(col):
-            continue
-        for j in range(d):
-            dst = cols[i - d + j]
-            while len(dst) < len(col):
-                dst.append(Fraction(0))
-            for xi, c in enumerate(col):
-                dst[xi] -= c * mod[j]
-        cols[i] = []
-    cols = cols[:d]
-    ga = [UniPoly(QQ, col) for col in cols]
-    while ga and ga[-1].is_zero():
-        ga.pop()
-    if len(ga) - 1 < 1:
-        return None  # degenerate in alpha; resultant would be a power
-    # Sylvester matrix of phi (degree d) and g (degree da in alpha),
-    # entries are Q[x] polynomials; determinant by Bareiss (exact division).
-    da = len(ga) - 1
-    size = d + da
-    phi_row = [UniPoly(QQ, [c]) for c in phi.coeffs]
-    rows = []
-    for i in range(da):
-        row = [UniPoly.zero(QQ)] * size
-        for j, c in enumerate(reversed(phi_row)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(d):
-        row = [UniPoly.zero(QQ)] * size
-        for j, c in enumerate(reversed(ga)):
-            row[i + j] = c
-        rows.append(row)
-    det = _bareiss_det_poly(rows)
-    if det.is_zero():
-        return None
-    return det
-
-
-def _bareiss_det_poly(rows: list[list[UniPoly]]) -> UniPoly:
-    """Bareiss determinant over F[x], F the field of the entries (divisions
-    are exact)."""
-    field = rows[0][0].field
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = UniPoly(field, [1])
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly.zero(field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = UniPoly.zero(field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det * Fraction(sign)
+    g = f.compose(UniPoly(field, [-s * field.generator, field.one]))
+    norm = g
+    for k in field.galois_exponents:
+        norm = norm * UniPoly(field, [_reduced(field, _conjugate(field, c.num, k),
+                                               c.den) for c in g.coeffs])
+    return UniPoly(QQ, norm.coeffs)
 
 
 # ---------------------------------------------------------------------------

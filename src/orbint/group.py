@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import budgets
-from .arith import QQ, Field, UniPoly, _bareiss_det_poly, determinant
+from .arith import QQ, Field, UniPoly, char_poly, determinant
 from .budgets import Budget
 from .errors import NotFaithful, NotFinite
 from .poly import Ideal, MultiPoly
@@ -165,21 +165,14 @@ def is_invariant(group: FiniteMatrixGroup, f: MultiPoly) -> bool:
 
 def molien(group: FiniteMatrixGroup, degree_bound: int) -> list[int]:
     """Dimensions of the spaces of invariants per degree 0..degree_bound,
-    read off the Molien series (1/|G|) sum_g 1/det(I - t g)."""
+    read off the Molien series (1/|G|) sum_g 1/det(I - t g).  The determinant
+    det(I - t g) = t^n chi_g(1/t) is `char_poly(g)` with its coefficients
+    reversed."""
     field = group.field
     terms = degree_bound + 1
     total = [field.zero] * terms
     for el in group:
-        # det(I - t*g) as a UniPoly over the field, then invert the series
-        n = group.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                const = field.one if i == j else field.zero
-                row.append(UniPoly(field, [const, -el[i][j]]))
-            rows.append(row)
-        det = _bareiss_det_poly(rows)
+        det = UniPoly(field, reversed(char_poly(field, el).coeffs))
         inv = _series_inverse(det, terms)
         for k in range(terms):
             total[k] = total[k] + inv[k]

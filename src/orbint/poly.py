@@ -310,8 +310,11 @@ class MultiPoly:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.vars, tuple(sorted(self.terms.items(),
-                                              key=lambda t: t[0]))))
+            if self.is_constant():      # hash a constant like its scalar
+                h = hash(self.constant_value())
+            else:
+                h = hash((self.vars, tuple(sorted(self.terms.items(),
+                                                  key=lambda t: t[0]))))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -800,7 +803,7 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             g = MultiPoly.const(a.field, a.vars, 1)
             break
         _, r = _content_and_pp(r, v)
-        pa, pb = pb, r
+        pa, pb = pb, r.monic()
     _, g = _content_and_pp(g, v)
     return (c * g).monic()
 
@@ -1125,6 +1128,9 @@ class RationalFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # equal to a polynomial (den = 1) or a scalar: hash like it
+        if self.den.is_constant():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def derivative(self, idx: int) -> "RationalFn":

@@ -146,6 +146,22 @@ def test_molien_mu3(mu3):
     assert counts == [1, 0, 1, 2, 1]
 
 
+def test_molien_non_diagonal_groups():
+    # S3 permuting three coordinates: 1, e1, e1^2 and e2, ...
+    perms = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+    s3 = enumerate_group(QQ, perms)
+    # the quaternion group Q8 = <diag(i, -i), [[0, 1], [-1, 0]]> over Q(zeta4)
+    K = CyclotomicField(4)
+    i = K.generator
+    q8 = enumerate_group(K, [[[i, 0], [0, -i]], [[0, 1], [-1, 0]]])
+    assert (s3.order, q8.order) == (6, 8)
+    for group, expected in ((s3, [1, 1, 2, 3, 4, 5, 7]), (q8, [1, 0, 0, 0, 2, 0, 1])):
+        counts = molien(group, 6)
+        assert counts == expected
+        for d in range(1, 7):
+            assert counts[d] == reynolds_rank_oracle(group, d)
+
+
 def test_stabilizers_coordinate_line(sign_group):
     u, v = up("u"), up("v")
     line = Ideal(QQ, UV, [u])

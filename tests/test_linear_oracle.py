@@ -6,11 +6,12 @@ on it."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from orbint.arith import QQ, CycElem, CyclotomicField, UniPoly, determinant, \
-    factor_univariate, solve_linear
+from orbint.arith import QQ, CycElem, CyclotomicField, UniPoly, _norm_poly, \
+    determinant, factor_univariate, solve_linear
 
 sympy = pytest.importorskip("sympy")
 
@@ -133,3 +134,35 @@ def test_factor_univariate_matches_factor_list_over_q_zeta3():
         assert len(ours) == len(theirs)
         for g, m in theirs:
             assert (g, m) in ours
+
+
+def test_norm_poly_matches_resultant_with_phi():
+    """The Trager norm, a product of Galois conjugates, is
+    Res_t(Phi_n(t), f(x - s*t)) because Phi_n is monic; a rational f at
+    s = 0 gives f^phi(n)."""
+    x, t = sympy.symbols("x t")
+    rng = random.Random("norm")
+    for n in (3, 4, 5, 8, 12):
+        field = CyclotomicField(n)
+        for case in range(6):
+            deg = rng.randint(2, 4)
+            if case == 0:       # rational coefficients
+                zeros = [Fraction(0)] * (field.degree - 1)
+                coords = [[Fraction(rng.randint(-3, 3))] + zeros for _ in range(deg)]
+                s = 0
+            else:
+                coords = [[rational(rng) if rng.random() < 0.5 else Fraction(0)
+                           for _ in range(field.degree)] for _ in range(deg)]
+                s = rng.choice((0, 1, -1, 2))
+            f = UniPoly(field, [CycElem(field, tuple(c)) for c in coords] + [1])
+            shifted = sum(sum(to_sympy(c) * t ** i for i, c in enumerate(row))
+                          * (x - s * t) ** k for k, row in enumerate(coords))
+            shifted += (x - s * t) ** deg
+            res = sympy.resultant(sympy.cyclotomic_poly(n, t), sympy.expand(shifted), t)
+            expected = tuple(from_sympy(c) for c in
+                             reversed(sympy.Poly(res, x, domain="QQ").all_coeffs()))
+            assert _norm_poly(f, s).coeffs == expected
+            if case == 0:
+                rational_f = UniPoly(QQ, [c[0] for c in coords] + [1])
+                assert _norm_poly(f, s) == reduce(lambda a, b: a * b,
+                                                  [rational_f] * field.degree)

@@ -1,9 +1,12 @@
 """Groebner kernel: bases, normal forms, elimination, dimension, quotients."""
 
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +359,83 @@ def test_mp_gcd():
     assert mp_gcd(a, b) == (x + y)
 
 
+# The derivative whose gcd against den^2 once grew its pseudo-remainders'
+# coefficients without bound: it ran for minutes instead of milliseconds.
+_GCD_BLOWUP = """
+from fractions import Fraction
+from orbint.arith import QQ
+from orbint.poly import MultiPoly, RationalFn
+s, t = (MultiPoly.var(QQ, ("s", "t"), v) for v in ("s", "t"))
+print(RationalFn(s + t * Fraction(1, 4), (t ** 2 + s) * (s * t - 2)).derivative(0))
+"""
+
+
+def test_mp_gcd_keeps_remainders_small_in_a_child_process():
+    src = str(Path(poly.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _GCD_BLOWUP], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    # -t (t^3 + 4 s^2 + 2 s t + 8 t - 2) / (4 (t^2 + s)^2 (s t - 2)^2)
+    assert done.stdout.strip() == (
+        "(-1/4*t^4 - s^2*t - 1/2*s*t^2 - 2*t^2 + 1/2*t)/(s^2*t^6 + 2*s^3*t^4"
+        " + s^4*t^2 - 4*s*t^5 - 8*s^2*t^3 - 4*s^3*t + 4*t^4 + 8*s*t^2 + 4*s^2)")
+
+
+def _planted_pairs(field, vs, rng, count):
+    """(a, b, g) with a = g*p and b = g*q for seeded random g, p, q of small
+    degree, the constant coefficients drawn from the field."""
+    scalars = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]
+    if field.is_cyclotomic:
+        scalars += [field.generator, field.generator * 2 - 1]
+
+    def rand(max_terms):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            mon = [0] * len(vs)
+            for _ in range(rng.randint(0, 2)):
+                mon[rng.randrange(len(vs))] += 1
+            terms[tuple(mon)] = rng.choice(scalars)
+        return MultiPoly(field, vs, terms)
+
+    out = []
+    while len(out) < count:
+        g, p, q = rand(3), rand(4), rand(4)
+        if not (g.is_zero() or p.is_zero() or q.is_zero()):
+            out.append((g * p, g * q, g))
+    return out
+
+
+def test_mp_gcd_matches_sympy_on_planted_factors_over_q():
+    sympy = pytest.importorskip("sympy")
+    vs = ("s", "t", "u")
+    syms = sympy.symbols(vs)
+
+    def to_sympy(f):
+        expr = sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod([v ** e for v, e in zip(syms, m)])
+                   for m, c in f.terms.items())
+        return sympy.Poly(expr, *syms, domain="QQ")
+
+    pairs = _planted_pairs(QQ, vs, random.Random("mp_gcd"), 40)
+    for a, b, g in pairs:
+        got = mp_gcd(a, b)
+        assert to_sympy(got).monic() == sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+        assert poly_div_exact(got, g) is not None
+
+
+def test_mp_gcd_on_planted_factors_over_q_zeta3():
+    field = CyclotomicField(3)
+    vs = ("s", "t", "u")
+    for a, b, g in _planted_pairs(field, vs, random.Random("mp_gcd-zeta3"), 30):
+        got = mp_gcd(a, b)
+        assert got.leading(GREVLEX)[1] == field.one
+        assert poly_div_exact(a, got) is not None
+        assert poly_div_exact(b, got) is not None
+        assert poly_div_exact(got, g) is not None
+
+
 def test_mp_factor():
     p = (x + y) * (x - y) * (x + z) ** 2
     fac = mp_factor(p)
@@ -435,7 +515,7 @@ def test_rational_fn_arithmetic_matches_always_gcd_reference(conductor):
     if conductor is not None:
         zeta = field.generator
         scalars += [zeta, zeta * 2 + 1]
-    factors = [s, t, s + 1, s - t * scalars[-1], s * t - 2]
+    factors = [s, t, s + 1, s - t * scalars[-1], s * t - 2, t * t + s]
     rng = random.Random(31)
     seen = {"zero": 0, "const_den": 0, "equal_den": 0, "shared": 0}
 
@@ -485,6 +565,24 @@ def test_rational_fn_compares_with_every_scalar_it_lifts():
     # over QQ a scalar outside the field is simply unequal
     assert RationalFn(MultiPoly.const(QQ, XY, 1)) != zeta
     assert RationalFn(MultiPoly.const(QQ, XY, 1)) != CyclotomicField(5).generator
+
+
+def test_rational_fn_hash_agrees_with_eq():
+    k3 = CyclotomicField(3)
+    for field in (QQ, k3):
+        scalars = [0, 2, Fraction(-3, 4), field.coerce(5)]
+        if field is k3:
+            scalars += [k3.generator, k3.generator * 2 + 1]
+        for c in scalars:
+            const = MultiPoly.const(field, XY, c)
+            r = RationalFn(const)
+            for other in (c, const, RationalFn(const * 2) / 2):
+                assert r == other
+                assert hash(r) == hash(other)
+        p = MultiPoly.var(field, XY, "x") + 1
+        assert RationalFn(p) == p and hash(RationalFn(p)) == hash(p)
+        assert len({RationalFn(MultiPoly.const(field, XY, 2)), 2,
+                    MultiPoly.const(field, XY, 2)}) == 1
 
 
 def test_mp_gcd_with_a_constant_is_one_without_contents(monkeypatch):
