@@ -937,10 +937,14 @@ def _trager(f: UniPoly) -> list[UniPoly] | None:
     conjugates, `_norm_poly`) is tried: when it is squarefree, its rational
     factors g give the factors gcd(f, g(x + s*t)).  Returns the monic
     irreducible factors, or None if no shift in the search window yields a
-    squarefree norm (callers then keep f unsplit).
+    squarefree norm (callers then keep f unsplit).  A rational f starts
+    at s = 1, since its norm at s = 0 is f^phi(n).
     """
     field = f.field
-    for s in (0, 1, -1, 2, -2, 3, -3):
+    shifts = (0, 1, -1, 2, -2, 3, -3)
+    if all(c.is_rational() for c in f.coeffs):
+        shifts = shifts[1:]
+    for s in shifts:
         norm = _norm_poly(f, s)
         if norm.gcd(norm.derivative()).degree != 0:
             continue

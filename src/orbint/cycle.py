@@ -10,6 +10,10 @@ combinatorics:
   push-forward   q_*(c . P)  = c * (s/i) * O(P)
   intersection   X . Y       = (1/k) q_*( q*X . q*Y )
 
+intersect_model is that formula as written, with q*X . q*Y an UpstairsCycle.
+Properness is checked upstairs (q is finite), on every component pair before
+any pair is split.
+
 The upstairs product of zero-dimensional intersections is computed by the
 eigenvalue method: a random linear form ell (from a caller-provided seeded
 generator), the characteristic polynomial of multiplication-by-ell on the
@@ -276,16 +280,6 @@ class PointCluster:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class ClusterTerm:
-    """Aggregated intersection component with its rational total weight."""
-
-    ideal: Ideal
-    dim: int
-    residue_degree: int | None
-    weight: Fraction
-
-
 # ---------------------------------------------------------------------------
 # pull-back / push-forward along the quotient
 # ---------------------------------------------------------------------------
@@ -322,29 +316,39 @@ class ProperReport:
     reason: str = ""
 
 
+def _meeting_sums(a: UpstairsCycle, b: UpstairsCycle, n: int) -> list[tuple]:
+    """The component pairs (p, cp, q, cq, p + q) whose zero sets meet.  The
+    one place where pair sums are formed: raises NotProper at the first pair
+    that does not meet in dimension dim A + dim B - n."""
+    expected = a.dim + b.dim - n
+    sums = []
+    for p, cp in a.components:
+        for q, cq in b.components:
+            s = p + q
+            if s.is_unit():
+                continue
+            if expected < 0:
+                raise NotProper("codimensions exceed the ambient dimension "
+                                "but the supports meet")
+            d = s.dimension()
+            if d != expected:
+                raise NotProper(f"components meet in dimension {d}, "
+                                f"expected {expected}")
+            sums.append((p, cp, q, cq, s))
+    return sums
+
+
 def is_proper(model: LocalModel, x: DownstairsCycle,
               y: DownstairsCycle) -> ProperReport:
     """Supports meet in codimension codim X + codim Y upstairs (or not at
     all); equivalent to the downstairs condition since q is finite."""
-    if x.is_empty() or y.is_empty():
-        return ProperReport(True, x.codim(), y.codim(), "empty factor")
     cx, cy = x.codim(), y.codim()
-    expected = model.n - cx - cy
-    ax, ay = pullback(model, x), pullback(model, y)
-    for p, _ in ax.components:
-        for q, _ in ay.components:
-            s = p + q
-            if s.is_unit():
-                continue
-            d = s.dimension()
-            if expected < 0:
-                return ProperReport(False, cx, cy,
-                                    "codimensions exceed the ambient "
-                                    "dimension but the supports meet")
-            if d != expected:
-                return ProperReport(False, cx, cy,
-                                    f"components meet in dimension {d}, "
-                                    f"expected {expected}")
+    if x.is_empty() or y.is_empty():
+        return ProperReport(True, cx, cy, "empty factor")
+    try:
+        _meeting_sums(pullback(model, x), pullback(model, y), model.n)
+    except NotProper as exc:
+        return ProperReport(False, cx, cy, str(exc))
     return ProperReport(True, cx, cy)
 
 
@@ -438,16 +442,18 @@ def certified_prime_component(ideal: Ideal) -> Ideal | None:
 
 
 def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
-                       rng: random.Random) -> list[ClusterTerm]:
-    """Bilinear intersection of upstairs cycles on the smooth cover.
+                       rng: random.Random) -> UpstairsCycle:
+    """The upstairs product cycle A . B on the smooth cover.
 
-    Zero-dimensional pair sums are split into point clusters whose
-    multiplicity is the local vector-space dimension.  A NonCMWarning is
-    issued when neither factor of a pair is a complete intersection
-    (generator count = codimension), where that dimension may overcount.
+    Every component pair is checked for properness before any pair is
+    split, so a NotProper leaves rng untouched.  Zero-dimensional pair sums
+    are then split into point clusters whose multiplicity is the local
+    vector-space dimension.  A NonCMWarning is issued when neither factor
+    of a pair is a complete intersection (generator count = codimension),
+    where that dimension may overcount.
     """
     if a.is_empty() or b.is_empty():
-        return []
+        return UpstairsCycle(a.field, a.vars, [])
     if a.vars != b.vars:
         raise ValueError("cycles on different upstairs charts")
     n = len(a.vars)
@@ -458,65 +464,31 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
         return (len(ideal.gens) == codim
                 or len(ideal.groebner()) == codim)
 
-    accum: dict = {}
-    info: dict = {}
-    for p, cp in a.components:
-        ci_p = is_ci(p, a.dim)
-        for q, cq in b.components:
-            s = p + q
-            if s.is_unit():
-                continue
-            if expected < 0:
-                raise NotProper(
-                    "supports meet although the codimensions exceed the "
-                    "ambient dimension")
-            ci_q = is_ci(q, b.dim)
-            if not ci_p and not ci_q:
-                warnings.warn(
-                    "neither intersectand is a complete intersection; "
-                    "multiplicities may overcount", NonCMWarning)
-            d = s.dimension()
-            if d != expected:
-                raise NotProper(f"components meet in dimension {d}, expected {expected}")
-            if expected == 0:
-                for cluster in split_clusters(s, rng):
-                    key = cluster.ideal.canonical_key()
-                    accum[key] = accum.get(key, Fraction(0)) \
-                        + cp * cq * cluster.multiplicity
-                    info[key] = (cluster.ideal, 0, cluster.residue_degree)
-            else:
-                comp = certified_prime_component(s)
-                if comp is None:
-                    raise PositiveDimensionalIntersection(
-                        "positive-dimensional intersection outside the "
-                        "certified (solved-graph) subclass")
-                key = comp.canonical_key()
-                accum[key] = accum.get(key, Fraction(0)) + cp * cq
-                info[key] = (comp, expected, None)
-    out = []
-    for key in sorted(accum):
-        ideal, dim, rdeg = info[key]
-        out.append(ClusterTerm(ideal, dim, rdeg, accum[key]))
-    return out
+    comps = []
+    for p, cp, q, cq, s in _meeting_sums(a, b, n):
+        if not (is_ci(p, a.dim) or is_ci(q, b.dim)):
+            warnings.warn(
+                "neither intersectand is a complete intersection; "
+                "multiplicities may overcount", NonCMWarning)
+        if expected == 0:
+            for cluster in split_clusters(s, rng):
+                comps.append((cluster.ideal, cp * cq * cluster.multiplicity))
+        else:
+            comp = certified_prime_component(s)
+            if comp is None:
+                raise PositiveDimensionalIntersection(
+                    "positive-dimensional intersection outside the "
+                    "certified (solved-graph) subclass")
+            comps.append((comp, cp * cq))
+    return UpstairsCycle(a.field, a.vars, comps)
 
 
 def intersect_model(model: LocalModel, x: DownstairsCycle, y: DownstairsCycle,
                     rng: random.Random | None = None) -> DownstairsCycle:
     """The rational intersection product (1/k) q_*(q*X . q*Y)."""
     rng = rng or random.Random(0)
-    report = is_proper(model, x, y)
-    if not report.proper:
-        raise NotProper(report.reason)
-    if x.is_empty() or y.is_empty():
-        return DownstairsCycle.empty(model)
-    terms = intersect_upstairs(pullback(model, x), pullback(model, y), rng)
-    comps = []
-    for term in terms:
-        orbit = OrbitClass.of(model, term.ideal)
-        comps.append((orbit, term.weight
-                      * Fraction(orbit.stab_order, orbit.inertia_order)
-                      * Fraction(1, model.k)))
-    return DownstairsCycle(model, comps)
+    up = intersect_upstairs(pullback(model, x), pullback(model, y), rng)
+    return pushforward(model, up).scale(Fraction(1, model.k))
 
 
 def principal_divisor(model: LocalModel, h: MultiPoly) -> DownstairsCycle:
@@ -749,7 +721,7 @@ def pushforward_along_map(fmap: ModelMap, x: DownstairsCycle,
 def _mapping_degree(fmap: ModelMap, p: Ideal, q: Ideal,
                     rng: random.Random) -> int:
     """Generic fibre degree of the upstairs map V(p) -> V(q)."""
-    indep = _independent_set(q)
+    indep = q.independent_set()
     samples = []
     attempts = 0
     while len(samples) < 2 and attempts < 12:
@@ -781,25 +753,6 @@ def _mapping_degree(fmap: ModelMap, p: Ideal, q: Ideal,
         raise SampleDisagreement(
             f"mapping degree samples disagree: {samples[0]} vs {samples[1]}")
     return samples[0]
-
-
-def _independent_set(ideal: Ideal) -> tuple[str, ...]:
-    """A maximal variable subset independent modulo the leading terms."""
-    gb = ideal.groebner()
-    if not gb:
-        return ideal.vars
-    import itertools as _it
-    supports = []
-    for g in gb:
-        m = g.leading(GREVLEX)[0]
-        supports.append({i for i, e in enumerate(m) if e})
-    n = ideal.n
-    for size in range(n, 0, -1):
-        for subset in _it.combinations(range(n), size):
-            sset = set(subset)
-            if all(not supp <= sset for supp in supports):
-                return tuple(ideal.vars[i] for i in subset)
-    return ()
 
 
 # ---------------------------------------------------------------------------

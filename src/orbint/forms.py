@@ -28,6 +28,7 @@ from .arith import solve_linear
 from .budgets import Budget
 from .errors import (AnsatzExhausted, ChartMismatch,
                      DenominatorVanishesIdentically)
+from .group import linear_form
 from .poly import GREVLEX, MultiPoly, RationalFn
 from .quotient import LocalModel, express_in_invariants, norm_polynomial
 
@@ -250,14 +251,8 @@ def act_form(model: LocalModel, element, a: DiffForm) -> DiffForm:
     """Linear substitution u -> g.u on coefficients and differentials."""
     if a.vars != model.uvars:
         raise ChartMismatch("expected an upstairs form")
-    field = model.field
-    images = {}
-    for i, v in enumerate(model.uvars):
-        img = MultiPoly.zero(field, model.uvars)
-        for j, c in enumerate(element[i]):
-            if c:
-                img = img + MultiPoly.var(field, model.uvars, model.uvars[j]) * c
-        images[v] = img
+    images = {v: linear_form(model.field, model.uvars, element[i])
+              for i, v in enumerate(model.uvars)}
     return pullback_form(images, a, model.uvars)
 
 

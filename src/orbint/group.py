@@ -132,18 +132,22 @@ class Subgroup:
 # action on polynomials, ideals
 # ---------------------------------------------------------------------------
 
+def linear_form(field: Field, variables: tuple[str, ...], row) -> MultiPoly:
+    """The linear form sum_j row[j] * u_j in F[variables]: coordinate i of
+    g.u when row is row i of the matrix g."""
+    form = MultiPoly.zero(field, variables)
+    for j, c in enumerate(row):
+        if c:
+            form = form + MultiPoly.var(field, variables, variables[j]) * c
+    return form
+
+
 def act(group: FiniteMatrixGroup, element, f: MultiPoly) -> MultiPoly:
     """Substitution u_i -> (g.u)_i applied to f (a ring homomorphism)."""
     if len(f.vars) != group.n:
         raise ValueError("arity mismatch between group and polynomial")
-    images = {}
-    for i, v in enumerate(f.vars):
-        row = element[i]
-        img = MultiPoly.zero(f.field, f.vars)
-        for j, c in enumerate(row):
-            if c:
-                img = img + MultiPoly.var(f.field, f.vars, f.vars[j]) * c
-        images[v] = img
+    images = {v: linear_form(f.field, f.vars, element[i])
+              for i, v in enumerate(f.vars)}
     return f.substitute(images)
 
 def act_ideal(group: FiniteMatrixGroup, element, ideal: Ideal) -> Ideal:
@@ -221,16 +225,9 @@ def inertia_group(group: FiniteMatrixGroup, prime: Ideal) -> Subgroup:
     variables = prime.vars
     field = prime.field
     for el in group:
-        ok = True
-        for i, v in enumerate(variables):
-            img = MultiPoly.zero(field, variables)
-            for j, c in enumerate(el[i]):
-                if c:
-                    img = img + MultiPoly.var(field, variables, variables[j]) * c
-            diff = img - MultiPoly.var(field, variables, v)
-            if not prime.contains(diff):
-                ok = False
-                break
-        if ok:
+        # all() stops at the first coordinate that moves off the zero set
+        if all(prime.contains(linear_form(field, variables, el[i])
+                              - MultiPoly.var(field, variables, v))
+               for i, v in enumerate(variables)):
             members.append(el)
     return Subgroup(group, members)

@@ -584,25 +584,27 @@ class Ideal:
 
     # -- geometry ------------------------------------------------------------
 
-    def dimension(self) -> int:
-        """Krull dimension of the zero set, via independent variable sets
-        modulo the leading-term ideal."""
+    def independent_set(self) -> tuple[str, ...]:
+        """A largest variable subset containing no grevlex leading-term
+        support, the first by size, then lexicographically; () if unit."""
         gb = self.groebner()
-        if not gb:
-            return self.n
-        if self.is_unit():
-            raise UnitIdeal("the ideal is the whole ring (empty zero set)")
         lt_supports = []
         for g in gb:
             m = g.leading(GREVLEX)[0]
             lt_supports.append({i for i, e in enumerate(m) if e})
-        best = 0
         for size in range(self.n, 0, -1):
             for subset in itertools.combinations(range(self.n), size):
                 sset = set(subset)
                 if all(not supp <= sset for supp in lt_supports):
-                    return size
-        return best
+                    return tuple(self.vars[i] for i in subset)
+        return ()
+
+    def dimension(self) -> int:
+        """Krull dimension of the zero set, via independent variable sets
+        modulo the leading-term ideal."""
+        if self.is_unit():
+            raise UnitIdeal("the ideal is the whole ring (empty zero set)")
+        return len(self.independent_set())
 
     def quotient_basis(self, order: TermOrder = GREVLEX) -> list[Monomial]:
         """Standard monomials of a zero-dimensional ideal, sorted ascending."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import QQ
-from .cycle import (CycleFamily, DownstairsCycle, ModelMap, UpstairsCycle,
+from .cycle import (CycleFamily, DownstairsCycle, ModelMap,
                     conservation_check, f_product, intersect_model,
                     intersect_upstairs, is_proper, pullback, pushforward,
                     pushforward_along_map)
@@ -121,13 +121,10 @@ def check_eq4(model: LocalModel, count: int,
         try:
             x, y = _proper_pair(model, rng, cx, cy)
             prod = intersect_model(model, x, y, rng)
-            terms = intersect_upstairs(pullback(model, x),
-                                       pullback(model, y), rng)
+            upstairs = intersect_upstairs(pullback(model, x),
+                                          pullback(model, y), rng)
         except NotProper:
             continue
-        upstairs = UpstairsCycle(model.field, model.uvars,
-                                 [(t.ideal, t.weight) for t in terms]) \
-            if terms else UpstairsCycle(model.field, model.uvars, [])
         lhs = pullback(model, prod)
         if lhs != upstairs:
             return VerifyResult(name, False, done + 1,

@@ -187,6 +187,26 @@ def test_factor_over_cyclotomic_splits():
     assert {roots[0], roots[1]} == {z, z * z}
 
 
+def test_trager_skips_the_zero_shift_on_rational_pieces(monkeypatch):
+    from orbint import arith
+    calls = []
+    real = arith._norm_poly
+
+    def recording(f, s):
+        calls.append((all(c.is_rational() for c in f.coeffs), s))
+        return real(f, s)
+
+    monkeypatch.setattr(arith, "_norm_poly", recording)
+    z = K3.generator
+    # x^2 + x + 1 = (x - zeta)(x + 1 + zeta); x^4 + 1 stays irreducible
+    assert factor_univariate(UniPoly(K3, [1, 1, 1])) == \
+        [(UniPoly(K3, [-z, 1]), 1), (UniPoly(K3, [1 + z, 1]), 1)]
+    x4_plus_1 = UniPoly(K3, [1, 0, 0, 0, 1])
+    assert factor_univariate(x4_plus_1) == [(x4_plus_1, 1)]
+    assert calls and all(rational for rational, _ in calls)
+    assert (True, 0) not in calls
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
                           st.integers(1, 3)),

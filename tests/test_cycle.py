@@ -318,15 +318,65 @@ def test_intersect_upstairs_bilinear(trivial2, rng):
     t1, t2 = up(trivial2, "t1"), up(trivial2, "t2")
     a = UpstairsCycle(QQ, trivial2.uvars, [(prime(trivial2, t1), Fraction(3))])
     b = UpstairsCycle(QQ, trivial2.uvars, [(prime(trivial2, t2), Fraction(1, 2))])
-    terms = intersect_upstairs(a, b, rng)
-    assert len(terms) == 1
-    assert terms[0].weight == Fraction(3, 2)
+    product = intersect_upstairs(a, b, rng)
+    assert len(product.components) == 1
+    assert product.components[0][1] == Fraction(3, 2)
 
 
 def test_intersect_rejects_improper(paper, rng):
     a1, x, _ = paper
     with pytest.raises(NotProper):
         intersect_model(a1, x, x, rng)
+
+
+def test_intersect_upstairs_checks_every_pair_before_splitting(trivial2, rng):
+    import warnings
+    from orbint.errors import NonCMWarning
+    t1, t2 = up(trivial2, "t1"), up(trivial2, "t2")
+    a = UpstairsCycle(QQ, trivial2.uvars, [(prime(trivial2, t1), 1)])
+    b = UpstairsCycle(QQ, trivial2.uvars, [(prime(trivial2, t2), 1),
+                                           (prime(trivial2, t1), 1)])
+    state = rng.getstate()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotProper) as err:
+            intersect_upstairs(a, b, rng)
+    assert str(err.value) == "components meet in dimension 1, expected 0"
+    assert rng.getstate() == state
+    assert not any(issubclass(w.category, NonCMWarning) for w in caught)
+
+
+def test_not_proper_has_one_wording(a1, rng):
+    u, v = up(a1, "u"), up(a1, "v")
+    # codimensions 2 + 1 exceed n = 2, and the origin lies on the line u = 0
+    x = cyc(a1, (prime(a1, u, v), 1))
+    y = cyc(a1, (prime(a1, u), 1))
+    reason = is_proper(a1, x, y).reason
+    assert reason == ("codimensions exceed the ambient dimension but the "
+                      "supports meet")
+    with pytest.raises(NotProper) as down:
+        intersect_model(a1, x, y, rng)
+    with pytest.raises(NotProper) as upstairs:
+        intersect_upstairs(pullback(a1, x), pullback(a1, y), rng)
+    assert str(down.value) == str(upstairs.value) == reason
+
+
+def test_intersect_model_forms_each_pair_sum_once(a1, rng, monkeypatch):
+    u, v = up(a1, "u"), up(a1, "v")
+    x = cyc(a1, (prime(a1, u), 1), (prime(a1, u - 1), 2))
+    y = cyc(a1, (prime(a1, v), 1), (prime(a1, v - 2), 1))
+    pairs = len(pullback(a1, x).components) * len(pullback(a1, y).components)
+    real_add = Ideal.__add__
+    sums = []
+
+    def counting_add(self, other):
+        sums.append((self, other))
+        return real_add(self, other)
+
+    monkeypatch.setattr(Ideal, "__add__", counting_add)
+    out = intersect_model(a1, x, y, rng)
+    assert not out.is_empty()
+    assert len(sums) == pairs
 
 
 def test_positive_dimensional_certified(trivial3, rng):
@@ -366,9 +416,7 @@ def test_support_contract(paper, rng):
 def test_eq4_on_paper_example(paper, rng):
     a1, x, y = paper
     prod = intersect_model(a1, x, y, rng)
-    terms = intersect_upstairs(pullback(a1, x), pullback(a1, y), rng)
-    upstairs = UpstairsCycle(QQ, a1.uvars,
-                             [(t.ideal, t.weight) for t in terms])
+    upstairs = intersect_upstairs(pullback(a1, x), pullback(a1, y), rng)
     assert pullback(a1, prod) == upstairs
 
 

@@ -295,6 +295,40 @@ def test_dimension_zero_ideal():
     assert ideal([]).dimension() == 3
 
 
+def _lt_supports(ideal_):
+    return [{i for i, e in enumerate(g.leading(GREVLEX)[0]) if e}
+            for g in ideal_.groebner()]
+
+
+def test_independent_set_has_dimension_size_and_avoids_leading_terms():
+    from orbint.quotient import model_a1, model_trivial
+    from orbint.verify import random_prime
+    rng = random.Random(5)
+    checked = 0
+    for model in (model_a1(), model_trivial(3)):
+        for _ in range(12):
+            ca = rng.randint(1, model.n - 1)
+            s = (random_prime(model, rng, ca)
+                 + random_prime(model, rng, rng.randint(1, model.n - ca)))
+            if s.is_unit():
+                assert s.independent_set() == ()
+                continue
+            indep = s.independent_set()
+            assert len(indep) == s.dimension()
+            chosen = {s.vars.index(v) for v in indep}
+            supports = _lt_supports(s)
+            assert not any(supp <= chosen for supp in supports)
+            # no variable can be added: the set is maximal
+            for extra in set(range(s.n)) - chosen:
+                assert any(supp <= chosen | {extra} for supp in supports)
+            checked += 1
+    assert checked >= 10
+
+
+def test_independent_set_of_unit_ideal_is_empty():
+    assert ideal([x, x + 1]).independent_set() == ()
+
+
 # --- quotient basis / multiplication matrices --------------------------------
 
 def test_quotient_basis_point():
