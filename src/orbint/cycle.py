@@ -24,11 +24,12 @@ needs no check: its generalized eigenspace has dimension deg p, so each of
 its deg p roots is ell(P) at exactly one point P with a one-dimensional local
 algebra, and I + <p(ell)> is already the radical cluster ideal.
 
-Positive-dimensional proper intersections are supported only in the certified
-subclass where the reduced Groebner basis of the pair sum is in solved-graph
-form (each element is a variable minus a polynomial in non-leading
-variables); such an ideal is prime with intersection multiplicity one.
-Everything else positive-dimensional raises a NotProper-shaped error.
+One routine, _prime_cycle, turns an ideal (a pair sum, a map preimage, a
+family member, a scene's lift) into its prime cycle, for three shapes: a
+principal hypersurface (factored), a zero-dimensional ideal (split as above)
+and a solved-graph reduced basis (each element a variable minus a polynomial
+in non-leading variables), which is prime of multiplicity one.  A pair sum of
+any other shape raises PositiveDimensionalIntersection, a NotProper.
 """
 
 from __future__ import annotations
@@ -421,14 +422,29 @@ def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
         + last_error)
 
 
-def certified_prime_component(ideal: Ideal) -> Ideal | None:
-    """Solved-graph certificate: the reduced basis consists of elements
-    `v - g(rest)` with distinct leading variables.  Such an ideal is prime
-    (the quotient is a polynomial ring) and its cycle multiplicity is 1.
-    The zero ideal (the whole space) qualifies trivially."""
+def _prime_cycle(ideal: Ideal, dim: int,
+                 rng: random.Random) -> list[tuple[Ideal, int]] | None:
+    """The cycle [I] = sum of l_P [P] of an equidimensional ideal of
+    dimension `dim`, as (prime, multiplicity) pairs, for three shapes tried
+    in this order:
+
+      - a principal hypersurface: the irreducible factors of its generator,
+        each with its exponent;
+      - a zero-dimensional ideal: its point clusters (split_clusters);
+      - a solved-graph reduced basis, whose elements are `v - g(rest)` with
+        distinct leading variables.  Such an ideal is prime (the quotient is
+        a polynomial ring) and its cycle multiplicity is 1.  The zero ideal
+        (the whole space) qualifies trivially.
+
+    Any other shape gives None, and the caller raises its own error.
+    """
     gb = ideal.groebner()
-    if not gb:
-        return Ideal(ideal.field, ideal.vars, [])
+    if len(gb) == 1 and dim == ideal.n - 1:
+        return [(Ideal(ideal.field, ideal.vars, [factor]), exponent)
+                for factor, exponent in mp_factor(gb[0])]
+    if dim == 0:
+        return [(cluster.ideal, cluster.multiplicity)
+                for cluster in split_clusters(ideal, rng)]
     solved = set()
     for g in gb:
         lm, _ = g.leading(GREVLEX)
@@ -438,7 +454,7 @@ def certified_prime_component(ideal: Ideal) -> Ideal | None:
         if vidx in solved:
             return None
         solved.add(vidx)
-    return Ideal(ideal.field, ideal.vars, list(gb))
+    return [(Ideal(ideal.field, ideal.vars, list(gb)), 1)]
 
 
 def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
@@ -446,11 +462,12 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
     """The upstairs product cycle A . B on the smooth cover.
 
     Every component pair is checked for properness before any pair is
-    split, so a NotProper leaves rng untouched.  Zero-dimensional pair sums
-    are then split into point clusters whose multiplicity is the local
-    vector-space dimension.  A NonCMWarning is issued when neither factor
-    of a pair is a complete intersection (generator count = codimension),
-    where that dimension may overcount.
+    split, so a NotProper leaves rng untouched.  Each pair sum then becomes
+    its prime cycle (_prime_cycle): a hypersurface by factoring, a
+    zero-dimensional sum by point clusters whose multiplicity is the local
+    vector-space dimension, a solved-graph sum as itself.  A NonCMWarning is
+    issued when neither factor of a pair is a complete intersection
+    (generator count = codimension), where that dimension may overcount.
     """
     if a.is_empty() or b.is_empty():
         return UpstairsCycle(a.field, a.vars, [])
@@ -470,16 +487,12 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
             warnings.warn(
                 "neither intersectand is a complete intersection; "
                 "multiplicities may overcount", NonCMWarning)
-        if expected == 0:
-            for cluster in split_clusters(s, rng):
-                comps.append((cluster.ideal, cp * cq * cluster.multiplicity))
-        else:
-            comp = certified_prime_component(s)
-            if comp is None:
-                raise PositiveDimensionalIntersection(
-                    "positive-dimensional intersection outside the "
-                    "certified (solved-graph) subclass")
-            comps.append((comp, cp * cq))
+        parts = _prime_cycle(s, expected, rng)
+        if parts is None:
+            raise PositiveDimensionalIntersection(
+                "positive-dimensional intersection outside the "
+                "certified (solved-graph) subclass")
+        comps.extend((comp, cp * cq * mult) for comp, mult in parts)
     return UpstairsCycle(a.field, a.vars, comps)
 
 
@@ -619,7 +632,8 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
 
     The preimage of each upstairs component must be a hypersurface (then the
     pulled-back principal generator is factored into irreducibles with
-    exponents) or zero-dimensional (then cluster multiplicities apply).
+    exponents), zero-dimensional (then cluster multiplicities apply) or a
+    solved-graph prime (multiplicity one).
     """
     rng = rng or random.Random(0)
     src = fmap.source
@@ -649,24 +663,17 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
         if not j.gens:
             raise NotEquidimensional(
                 "component pulls back to the whole source space")
-        gb = j.groebner()
         actual = j.dimension()
         if actual != expected:
             raise NotEquidimensional(
                 f"preimage has dimension {actual}, expected {expected}")
-        if len(gb) == 1 and actual == src.n - 1:
-            for factor, exponent in mp_factor(gb[0]):
-                prime = Ideal(src.field, src.uvars, [factor])
-                comps.append((prime, c * exponent))
-                dims.add(src.n - 1)
-        elif actual == 0:
-            for cluster in split_clusters(j, rng):
-                comps.append((cluster.ideal, c * cluster.multiplicity))
-                dims.add(0)
-        else:
+        parts = _prime_cycle(j, actual, rng)
+        if parts is None:
             raise UnsupportedPreimageShape(
                 f"preimage of dimension {actual} is neither a hypersurface "
                 "nor zero-dimensional")
+        comps.extend((prime, c * mult) for prime, mult in parts)
+        dims.add(actual)
     if len(dims) > 1:
         raise NotEquidimensional("preimage components of mixed dimension")
     if not comps:
@@ -863,26 +870,17 @@ def specialize(family: CycleFamily, value,
             if j.is_unit():
                 raise SpecializationDegenerate(
                     f"family member at {value} is empty")
-            gb = j.groebner()
             d = j.dimension()
             if d != family.nominal_dim:
                 raise SpecializationDegenerate(
                     f"dimension jump at {value}: {d} vs nominal "
                     f"{family.nominal_dim}")
-            if len(gb) == 1 and d == model.n - 1:
-                for factor, exponent in mp_factor(gb[0]):
-                    prime = Ideal(model.field, model.uvars, [factor])
-                    total.append((prime, coeff * exponent))
-            elif d == 0:
-                for cluster in split_clusters(j, rng):
-                    total.append((cluster.ideal, coeff * cluster.multiplicity))
-            else:
-                comp = certified_prime_component(j)
-                if comp is None:
-                    raise SpecializationDegenerate(
-                        "family member is neither a hypersurface, a finite "
-                        "scheme, nor a certified prime")
-                total.append((comp, coeff))
+            parts = _prime_cycle(j, d, rng)
+            if parts is None:
+                raise SpecializationDegenerate(
+                    "family member is neither a hypersurface, a finite "
+                    "scheme, nor a certified prime")
+            total.extend((prime, coeff * mult) for prime, mult in parts)
             dims.add(d)
     if len(dims) > 1:
         raise SpecializationDegenerate("mixed dimensions in one member")

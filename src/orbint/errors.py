@@ -57,8 +57,8 @@ class NotProper(OrbintError):
 
 
 class PositiveDimensionalIntersection(NotProper):
-    """Proper but positive-dimensional intersection outside the supported
-    (certified prime complete-intersection) subclass."""
+    """Proper but positive-dimensional intersection whose pair sum is
+    neither a principal hypersurface nor a certified (solved-graph) prime."""
 
 
 class SeparationFailure(OrbintError):
@@ -66,7 +66,8 @@ class SeparationFailure(OrbintError):
 
 
 class UnsupportedPreimageShape(OrbintError):
-    """A map preimage is neither a hypersurface nor zero-dimensional."""
+    """A map preimage is neither a principal hypersurface, zero-dimensional,
+    nor a certified (solved-graph) prime."""
 
 
 class NotEquidimensional(OrbintError):

@@ -38,10 +38,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arith import QQ, CyclotomicField, Field
-from .cycle import CycleFamily, DownstairsCycle, ModelMap, split_clusters
+from .cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
+                    _prime_cycle)
 from .errors import ChartError, ParseError, SceneNameError
 from .forms import DiffForm, _sort_with_sign
-from .poly import Ideal, MultiPoly, RationalFn, mp_factor
+from .poly import Ideal, MultiPoly, RationalFn
 from .quotient import LocalModel, build_model, catalog_model
 from .group import enumerate_group
 
@@ -454,7 +455,6 @@ def _lift_downstairs(model, text, lineno, rng):
     Every distinct orbit class receives coefficient one, no matter how many
     of its members appear among the upstairs components.
     """
-    from .cycle import OrbitClass
     gens = [parse_polynomial(g.strip(), model.field, model.yvars, lineno)
             for g in text.split(",") if g.strip()]
     up = [model.pull_poly(g) for g in gens]
@@ -462,21 +462,14 @@ def _lift_downstairs(model, text, lineno, rng):
     ideal = Ideal(model.field, model.uvars, up)
     if ideal.is_unit():
         raise ChartError("downstairs ideal lifts to the empty set", lineno)
-    gb = ideal.groebner()
-    primes = []
-    if len(gb) == 1 and not gb[0].is_constant():
-        for factor, _ in mp_factor(gb[0]):
-            primes.append(Ideal(model.field, model.uvars, [factor]))
-    elif ideal.dimension() == 0:
-        for cluster in split_clusters(ideal.radical_zero_dim(), rng):
-            primes.append(cluster.ideal)
-    else:
+    primes = _prime_cycle(ideal, ideal.dimension(), rng)
+    if primes is None:
         raise ChartError(
             "lift supports principal or zero-dimensional downstairs ideals",
             lineno)
     parts = []
     seen = set()
-    for p in primes:
+    for p, _ in primes:
         orbit = OrbitClass.of(model, p)
         if orbit.key not in seen:
             seen.add(orbit.key)

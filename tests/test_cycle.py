@@ -8,11 +8,12 @@ import pytest
 from orbint import budgets
 from orbint.arith import QQ, CyclotomicField, char_poly, factor_univariate
 from orbint.cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
-                          UpstairsCycle, conservation_check, f_product,
-                          intersect_model, intersect_upstairs, is_proper,
-                          principal_divisor, pullback, pullback_along_map,
-                          pushforward, pushforward_along_map, specialize,
-                          split_clusters, total_intersection_number)
+                          UpstairsCycle, _prime_cycle, conservation_check,
+                          f_product, intersect_model, intersect_upstairs,
+                          is_proper, principal_divisor, pullback,
+                          pullback_along_map, pushforward,
+                          pushforward_along_map, specialize, split_clusters,
+                          total_intersection_number)
 from orbint.errors import (NotProper, PositiveDimensionalIntersection,
                            SeparationFailure, SpecializationDegenerate,
                            UnsupportedPreimageShape)
@@ -258,6 +259,42 @@ def test_split_matches_radical_reference(field):
     assert spectra == {"one simple factor", "several simple", "repeated"}
 
 
+def _random_univariate(field, rnd):
+    """A seeded principal ideal in one variable whose generator multiplies
+    linear, quadratic and cyclotomic factors, some of them repeated."""
+    vs = ("t1",)
+    t = MultiPoly.var(field, vs, "t1")
+    zeta = field.generator if field.is_cyclotomic else 0
+    f = MultiPoly.const(field, vs, 1)
+    for _ in range(rnd.randint(1, 3)):
+        piece = rnd.choice((t - field.coerce(rnd.randint(-3, 3))
+                            - zeta * rnd.randint(-1, 1),
+                            t ** 2 - rnd.choice((2, 3, 5)), t ** 2 + t + 1))
+        f = f * piece ** rnd.choice((1, 2, 3))
+    return Ideal(field, vs, [f])
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)],
+                         ids=["QQ", "zeta3"])
+def test_prime_cycle_in_one_variable_factors_like_the_split(field):
+    """At n = 1 a zero-dimensional ideal is also a hypersurface, and
+    _prime_cycle takes it apart by factoring, drawing nothing from rng.  The
+    primes and multiplicities equal those of split_clusters."""
+    rnd = random.Random(11)
+    repeated = 0
+    for seed in range(60):
+        ideal = _random_univariate(field, rnd)
+        got_rng = random.Random(seed)
+        got = _prime_cycle(ideal, 0, got_rng)
+        assert got_rng.getstate() == random.Random(seed).getstate()
+        ref = split_clusters(ideal, random.Random(seed))
+        assert (sorted((p.canonical_key(), m) for p, m in got)
+                == sorted((c.ideal.canonical_key(), c.multiplicity)
+                          for c in ref))
+        repeated += any(m > 1 for _, m in got)
+    assert repeated > 10
+
+
 class _ScriptedRng:
     """Stands in for random.Random: randint returns the scripted values."""
 
@@ -387,6 +424,16 @@ def test_positive_dimensional_certified(trivial3, rng):
     assert out == cyc(trivial3, (prime(trivial3, t1, t2), 1))
 
 
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 3)])
+def test_fundamental_cycle_is_the_unit(a1, rng, a, b):
+    x = cyc(a1, (prime(a1, up(a1, "u") ** a - up(a1, "v") ** b), 1))
+    whole = cyc(a1, (prime(a1), 1))
+    # the pair sums are the members of the orbit of u^a - v^b, hypersurfaces
+    # that are not solved graphs: they are taken apart by factoring
+    assert intersect_model(a1, x, whole, rng) == x
+    assert intersect_model(a1, whole, x, rng) == x
+
+
 def test_positive_dimensional_uncertified_rejected(trivial3, rng):
     t1, t2, t3 = (up(trivial3, n) for n in trivial3.uvars)
     # the quadric cone t1 t2 = t3^2 meets a plane through the vertex in two
@@ -438,10 +485,14 @@ def test_divisor_of_invariant_product(a1):
 
 # --- model maps ----------------------------------------------------------------------
 
-def test_identity_map_pullback(paper, rng):
+def test_identity_map_pullback(paper, trivial3, rng):
     a1, x, y = paper
     ident = ModelMap.identity(a1)
     assert pullback_along_map(ident, y, rng) == y
+    # a certified (solved-graph) curve, neither a hypersurface nor finite
+    t1, t2, _ = (up(trivial3, n) for n in trivial3.uvars)
+    curve = cyc(trivial3, (prime(trivial3, t1, t2), 1))
+    assert pullback_along_map(ModelMap.identity(trivial3), curve, rng) == curve
 
 
 def test_flat_projection_pullback(trivial2, rng):
@@ -500,9 +551,10 @@ def test_unsupported_preimage_shape(rng, trivial3):
     t1, t2, t3 = (up(trivial3, n) for n in trivial3.uvars)
     ident = ModelMap.identity(trivial3)
     curve = DownstairsCycle.from_upstairs_primes(
-        trivial3, [(prime(trivial3, t1, t2), 1)])
-    # the preimage of a codimension-2 curve is neither a hypersurface nor
-    # zero-dimensional
+        trivial3, [(prime(trivial3, t2 - t1 ** 2, t3 - t1 ** 3), 1)])
+    # the preimage of the twisted cubic is neither a hypersurface, nor
+    # zero-dimensional, nor solved-graph (its grevlex leading terms t1^2 and
+    # t1 t2 are not variables)
     with pytest.raises(UnsupportedPreimageShape):
         pullback_along_map(ident, curve, rng)
 

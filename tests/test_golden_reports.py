@@ -1,10 +1,13 @@
 """The shipped scenes still render the reports the benchmark has on record.
 
-`bench/digests.json` stores, for each scene at the reference seeds 0 and 7,
-the digests of its text and JSON reports.  The benchmark compares against
-them only when it runs; this test does the same comparison in the test suite,
-so a change that moves a report byte fails here.  Each report is digested
-as the benchmark worker does it: `SceneReplay.check`, then `digest`.
+`bench/digests.json` stores, for each scene at the seeds a scene-replay run
+visits (0, 7, 14, 21, ...), the digests of its text and JSON reports.  The
+benchmark compares against them only when it runs; this test does the same
+comparison in the test suite, so a change that moves a report byte fails
+here.  It covers the reference seeds 0 and 7 and the next pass, 14 and 21:
+the verify scene draws its suites from the command's generator, so two seeds
+see too little of that stream.  Each report is digested as the benchmark
+worker does it: `SceneReplay.check`, then `digest`.
 """
 
 import importlib.util
@@ -28,7 +31,7 @@ REPLAY = workloads.WORKLOADS["scene-replay"]
 DIGESTS = json.loads((BENCH / "digests.json").read_text())["scene-replay"]
 
 
-@pytest.mark.parametrize("seed", workloads.REFERENCE_SEEDS)
+@pytest.mark.parametrize("seed", (0, 7, 14, 21))
 @pytest.mark.parametrize("scene", REPLAY.scenes)
 def test_scene_report_matches_recorded_digest(scene, seed):
     text = (ROOT / "scenes" / f"{scene}.scene").read_text(encoding="utf-8")

@@ -189,6 +189,14 @@ run show L
     # the downstairs divisor x lifts to the reduced line u = 0
     _, cycle = scene.cycles["L"]
     assert len(cycle.components) == 1
+    # a codimension-2 lift in solved-graph form is taken as it is
+    text = """
+field rationals
+model T = catalog trivial-3
+cycle L on T = lift(w1, w2 - w3)
+"""
+    _, cycle = parse_scene(text).cycles["L"]
+    assert repr(cycle) == "1 * [t2 - t3, t1]"
 
 
 def test_family_declarations_and_conserve():
