@@ -2,10 +2,11 @@
 
 `run(scene, seed, budget)` executes the scene's commands in order, each under
 the one budget echoed in the header, and builds a report that is
-byte-identical for identical (scene, seed, budgets): every command draws from
-its own generator seeded by (seed, command index), all printing goes through
-canonical representations, and the structured rendering is JSON with sorted
-keys.
+byte-identical for identical (scene, seed, budgets): a `verify` suite that
+draws instances draws them from a generator seeded by (seed, command index),
+every other randomized choice is seeded from its own input, all printing goes
+through canonical representations, and the structured rendering is JSON with
+sorted keys.
 
 Exit codes: 0 when every command succeeded and all verifications passed,
 1 when a verification failed, 2 when any command hit an engine error.
@@ -94,7 +95,7 @@ def _execute(scene: Scene, values, cmd: Command, rng):
     if verb == "intersect":
         x = _cycle_value(values, a["x"])
         y = _cycle_value(values, a["y"])
-        out = intersect_model(x.model, x, y, rng)
+        out = intersect_model(x.model, x, y)
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "pullback":
@@ -110,29 +111,29 @@ def _execute(scene: Scene, values, cmd: Command, rng):
                         f"({rep.reason}); codims ({rep.codim_x}, {rep.codim_y})")
     if verb == "pullback_map":
         fmap = scene.maps[a["map"]]
-        out = pullback_along_map(fmap, _cycle_value(values, a["x"]), rng)
+        out = pullback_along_map(fmap, _cycle_value(values, a["x"]))
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "push_map":
         fmap = scene.maps[a["map"]]
-        out = pushforward_along_map(fmap, _cycle_value(values, a["x"]), rng)
+        out = pushforward_along_map(fmap, _cycle_value(values, a["x"]))
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "fproduct":
         fmap = scene.maps[a["map"]]
         out = f_product(fmap, _cycle_value(values, a["x"]),
-                        _cycle_value(values, a["y"]), rng)
+                        _cycle_value(values, a["y"]))
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "specialize":
         fam = scene.families[a["family"]]
-        out = specialize(fam, a["value"], rng)
+        out = specialize(fam, a["value"])
         _store(values, a["into"], out)
         return "ok", repr(out)
     if verb == "conserve":
         fx = scene.families.get(a["x"]) or _cycle_value(values, a["x"])
         fy = scene.families.get(a["y"]) or _cycle_value(values, a["y"])
-        rep = conservation_check(fx, fy, a["samples"], rng)
+        rep = conservation_check(fx, fy, a["samples"])
         body = ", ".join("none" if t is None else str(t) for t in rep.totals)
         status = "ok" if rep.conserved else "fail"
         return status, f"totals [{body}] conserved={rep.conserved}"
@@ -160,7 +161,7 @@ def _execute(scene: Scene, values, cmd: Command, rng):
             model = scene.models[a["model"]]
             result = SUITES[suite](model, a["count"], rng)
         else:
-            result = GLOBAL_SUITES[suite](a["count"], rng)
+            result = GLOBAL_SUITES[suite]()
         return ("ok" if result.passed else "fail"), result.line()
     raise OrbintError(f"unhandled command {verb!r}")  # pragma: no cover
 
@@ -188,7 +189,8 @@ def main(argv=None) -> int:
         description="Exact intersection theory on finite quotient models.")
     parser.add_argument("scene", help="scene file to execute")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized choices (default 0)")
+                        help="seed for the instances that per-model verify "
+                             "suites draw (default 0)")
     parser.add_argument("--max-pairs", type=int, default=DEFAULT.max_pairs)
     parser.add_argument("--max-terms", type=int, default=DEFAULT.max_terms)
     parser.add_argument("--degree-bound", type=int, default=DEFAULT.degree_bound)

@@ -15,8 +15,9 @@ Properness is checked upstairs (q is finite), on every component pair before
 any pair is split.
 
 The upstairs product of zero-dimensional intersections is computed by the
-eigenvalue method: a random linear form ell (from a caller-provided seeded
-generator), the characteristic polynomial of multiplication-by-ell on the
+eigenvalue method: a random linear form ell (from a generator seeded by the
+ideal's canonical key, so the split of an ideal is the same whatever was split
+before it), the characteristic polynomial of multiplication-by-ell on the
 quotient algebra, its factorization, and one point cluster per irreducible
 factor.  A cluster's residue degree must match the factor degree; otherwise
 ell failed to separate and a fresh form is drawn.  A simple factor p of chi
@@ -357,11 +358,13 @@ def is_proper(model: LocalModel, x: DownstairsCycle,
 # zero-dimensional cluster splitting (eigenvalue method)
 # ---------------------------------------------------------------------------
 
-def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
+def split_clusters(ideal: Ideal) -> list[PointCluster]:
     """Split a zero-dimensional algebra into point clusters.
 
-    Draws a random linear form ell, factors the characteristic polynomial chi
-    of multiplication-by-ell, and carves one cluster per irreducible factor.
+    Draws a random linear form ell from a generator seeded by the ideal's
+    canonical key (a string seed, hashed with SHA-512, so PYTHONHASHSEED
+    plays no part), factors the characteristic polynomial chi of
+    multiplication-by-ell, and carves one cluster per irreducible factor.
     Retries with a fresh ell when the residue degree of a carved cluster
     disagrees with its factor degree (separation failure).
 
@@ -379,6 +382,7 @@ def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
     total = len(basis)
     last_error = "no attempt made"
     retries = budgets.current().separation_retries
+    rng = random.Random(repr(ideal.canonical_key()))
     for attempt in range(retries):
         bound = 2 + attempt
         coeffs = [rng.randint(-bound, bound) for _ in range(ideal.n)]
@@ -422,8 +426,7 @@ def split_clusters(ideal: Ideal, rng: random.Random) -> list[PointCluster]:
         + last_error)
 
 
-def _prime_cycle(ideal: Ideal, dim: int,
-                 rng: random.Random) -> list[tuple[Ideal, int]] | None:
+def _prime_cycle(ideal: Ideal, dim: int) -> list[tuple[Ideal, int]] | None:
     """The cycle [I] = sum of l_P [P] of an equidimensional ideal of
     dimension `dim`, as (prime, multiplicity) pairs, for three shapes tried
     in this order:
@@ -444,7 +447,7 @@ def _prime_cycle(ideal: Ideal, dim: int,
                 for factor, exponent in mp_factor(gb[0])]
     if dim == 0:
         return [(cluster.ideal, cluster.multiplicity)
-                for cluster in split_clusters(ideal, rng)]
+                for cluster in split_clusters(ideal)]
     solved = set()
     for g in gb:
         lm, _ = g.leading(GREVLEX)
@@ -457,12 +460,11 @@ def _prime_cycle(ideal: Ideal, dim: int,
     return [(Ideal(ideal.field, ideal.vars, list(gb)), 1)]
 
 
-def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
-                       rng: random.Random) -> UpstairsCycle:
+def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle) -> UpstairsCycle:
     """The upstairs product cycle A . B on the smooth cover.
 
     Every component pair is checked for properness before any pair is
-    split, so a NotProper leaves rng untouched.  Each pair sum then becomes
+    split, so a NotProper costs no split.  Each pair sum then becomes
     its prime cycle (_prime_cycle): a hypersurface by factoring, a
     zero-dimensional sum by point clusters whose multiplicity is the local
     vector-space dimension, a solved-graph sum as itself.  A NonCMWarning is
@@ -487,7 +489,7 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
             warnings.warn(
                 "neither intersectand is a complete intersection; "
                 "multiplicities may overcount", NonCMWarning)
-        parts = _prime_cycle(s, expected, rng)
+        parts = _prime_cycle(s, expected)
         if parts is None:
             raise PositiveDimensionalIntersection(
                 "positive-dimensional intersection outside the "
@@ -497,10 +499,13 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle,
 
 
 def intersect_model(model: LocalModel, x: DownstairsCycle, y: DownstairsCycle,
-                    rng: random.Random | None = None) -> DownstairsCycle:
-    """The rational intersection product (1/k) q_*(q*X . q*Y)."""
-    rng = rng or random.Random(0)
-    up = intersect_upstairs(pullback(model, x), pullback(model, y), rng)
+                    _rng: object = None) -> DownstairsCycle:
+    """The rational intersection product (1/k) q_*(q*X . q*Y).
+
+    The product depends on X and Y alone.  The fourth argument is accepted
+    and ignored, because the products benchmark still passes a generator.
+    """
+    up = intersect_upstairs(pullback(model, x), pullback(model, y))
     return pushforward(model, up).scale(Fraction(1, model.k))
 
 
@@ -625,8 +630,7 @@ class ModelMap:
                 f"{self.target.name})")
 
 
-def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
-                       rng: random.Random | None = None) -> DownstairsCycle:
+def pullback_along_map(fmap: ModelMap, y: DownstairsCycle) -> DownstairsCycle:
     """The cycle M ._f Y: upstairs preimage with multiplicities, pushed
     through the source group and normalized by 1/deg(source quotient).
 
@@ -635,7 +639,6 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
     exponents), zero-dimensional (then cluster multiplicities apply) or a
     solved-graph prime (multiplicity one).
     """
-    rng = rng or random.Random(0)
     src = fmap.source
     if y.is_empty():
         return DownstairsCycle.empty(src)
@@ -667,11 +670,11 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
         if actual != expected:
             raise NotEquidimensional(
                 f"preimage has dimension {actual}, expected {expected}")
-        parts = _prime_cycle(j, actual, rng)
+        parts = _prime_cycle(j, actual)
         if parts is None:
             raise UnsupportedPreimageShape(
-                f"preimage of dimension {actual} is neither a hypersurface "
-                "nor zero-dimensional")
+                f"preimage of dimension {actual} is neither a hypersurface, "
+                "zero-dimensional nor a solved-graph prime")
         comps.extend((prime, c * mult) for prime, mult in parts)
         dims.add(actual)
     if len(dims) > 1:
@@ -682,23 +685,19 @@ def pullback_along_map(fmap: ModelMap, y: DownstairsCycle,
     return pushforward(src, up_cycle).scale(Fraction(1, src.k))
 
 
-def f_product(fmap: ModelMap, x: DownstairsCycle, y: DownstairsCycle,
-              rng: random.Random | None = None) -> DownstairsCycle:
+def f_product(fmap: ModelMap, x: DownstairsCycle,
+              y: DownstairsCycle) -> DownstairsCycle:
     """X ._f Y computed through X .(M ._f Y) on the source model."""
-    rng = rng or random.Random(0)
-    mfy = pullback_along_map(fmap, y, rng)
-    return intersect_model(fmap.source, x, mfy, rng)
+    return intersect_model(fmap.source, x, pullback_along_map(fmap, y))
 
 
-def pushforward_along_map(fmap: ModelMap, x: DownstairsCycle,
-                          rng: random.Random | None = None) -> DownstairsCycle:
+def pushforward_along_map(fmap: ModelMap, x: DownstairsCycle) -> DownstairsCycle:
     """f_* : image class times the mapping degree of f on each component.
 
     The degree is the ratio of upstairs to downstairs fibre-algebra
     dimensions over a random slice of the image, verified at a second
     independent sample.
     """
-    rng = rng or random.Random(0)
     src, tgt = fmap.source, fmap.target
     if x.is_empty():
         return DownstairsCycle.empty(tgt)
@@ -714,7 +713,7 @@ def pushforward_along_map(fmap: ModelMap, x: DownstairsCycle,
             raise NotFiniteOnSupport(
                 f"component of dimension {orbit.dim} has image of dimension "
                 f"{q.dimension()}")
-        degree = _mapping_degree(fmap, p, q, rng)
+        degree = _mapping_degree(fmap, p, q)
         target_orbit = OrbitClass.of(tgt, q)
         factor = Fraction(degree) \
             * Fraction(orbit.inertia_order, orbit.stab_order) \
@@ -725,9 +724,10 @@ def pushforward_along_map(fmap: ModelMap, x: DownstairsCycle,
     return DownstairsCycle(tgt, comps)
 
 
-def _mapping_degree(fmap: ModelMap, p: Ideal, q: Ideal,
-                    rng: random.Random) -> int:
-    """Generic fibre degree of the upstairs map V(p) -> V(q)."""
+def _mapping_degree(fmap: ModelMap, p: Ideal, q: Ideal) -> int:
+    """Generic fibre degree of the upstairs map V(p) -> V(q), sampled at
+    slices drawn from a generator seeded by the two canonical keys."""
+    rng = random.Random(repr((p.canonical_key(), q.canonical_key())))
     indep = q.independent_set()
     samples = []
     attempts = 0
@@ -837,8 +837,7 @@ class CycleFamily:
         return tuple(out)
 
 
-def specialize(family: CycleFamily, value,
-               rng: random.Random | None = None) -> DownstairsCycle:
+def specialize(family: CycleFamily, value) -> DownstairsCycle:
     """Member of the family at a rational parameter value.
 
     The member is assembled from all |G| group translates of the specialized
@@ -846,7 +845,6 @@ def specialize(family: CycleFamily, value,
     multiplicities) and normalized by 1/k, mirroring the intersection
     product's normalization.
     """
-    rng = rng or random.Random(0)
     value = Fraction(value)
     model = family.model
     lo, hi = family.window
@@ -875,7 +873,7 @@ def specialize(family: CycleFamily, value,
                 raise SpecializationDegenerate(
                     f"dimension jump at {value}: {d} vs nominal "
                     f"{family.nominal_dim}")
-            parts = _prime_cycle(j, d, rng)
+            parts = _prime_cycle(j, d)
             if parts is None:
                 raise SpecializationDegenerate(
                     "family member is neither a hypersurface, a finite "
@@ -909,15 +907,13 @@ class ConservationReport:
     conserved: bool
 
 
-def conservation_check(fam_x, fam_y, samples,
-                       rng: random.Random | None = None) -> ConservationReport:
+def conservation_check(fam_x, fam_y, samples) -> ConservationReport:
     """Total intersection numbers of X_s . Y_s across parameter samples.
 
     Either argument may be a CycleFamily or a fixed DownstairsCycle.  A
     sample where the pair fails to intersect properly is reported but does
     not abort the other samples.
     """
-    rng = rng or random.Random(0)
     model = fam_x.model
     totals = []
     errors = []
@@ -926,13 +922,13 @@ def conservation_check(fam_x, fam_y, samples,
     def member(fam, s):
         if isinstance(fam, DownstairsCycle):
             return fam
-        return specialize(fam, s, rng)
+        return specialize(fam, s)
 
     for s in svals:
         try:
             xs = member(fam_x, s)
             ys = member(fam_y, s)
-            prod = intersect_model(model, xs, ys, rng)
+            prod = intersect_model(model, xs, ys)
             totals.append(total_intersection_number(prod))
             errors.append("")
         except (NotProper, SpecializationDegenerate) as exc:

@@ -58,7 +58,10 @@ class NotProper(OrbintError):
 
 class PositiveDimensionalIntersection(NotProper):
     """Proper but positive-dimensional intersection whose pair sum is
-    neither a principal hypersurface nor a certified (solved-graph) prime."""
+    neither a principal hypersurface nor a certified (solved-graph) prime
+    (a zero-dimensional pair sum is always split).  The message names only
+    the solved-graph subclass and stays as it is, because recorded product
+    results contain it."""
 
 
 class SeparationFailure(OrbintError):

@@ -32,7 +32,6 @@ Polynomials use infix +, -, *, / and ^ with integer and fraction literals;
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -423,7 +422,6 @@ def _parse_cycle(scene: Scene, rest: str, lineno: int):
     name, model_name, body = m.groups()
     _check_fresh(scene, name, lineno)
     model = _model_of(scene, model_name, lineno)
-    rng = random.Random(0)
     parts = []
     for sign, chunk in _split_top_level(body, "+-"):
         if sign < 0:
@@ -431,7 +429,7 @@ def _parse_cycle(scene: Scene, rest: str, lineno: int):
         chunk = chunk.strip()
         lift = re.fullmatch(r"lift\s*\((.*)\)", chunk, re.S)
         if lift:
-            parts.extend(_lift_downstairs(model, lift.group(1), lineno, rng))
+            parts.extend(_lift_downstairs(model, lift.group(1), lineno))
             continue
         m2 = re.fullmatch(r"(.*?)\*?\s*orbit\s*\((.*)\)", chunk, re.S)
         if not m2:
@@ -449,7 +447,7 @@ def _parse_cycle(scene: Scene, rest: str, lineno: int):
                           DownstairsCycle.from_upstairs_primes(model, parts))
 
 
-def _lift_downstairs(model, text, lineno, rng):
+def _lift_downstairs(model, text, lineno):
     """Lift a downstairs ideal to its reduced upstairs cycle components.
 
     Every distinct orbit class receives coefficient one, no matter how many
@@ -462,11 +460,11 @@ def _lift_downstairs(model, text, lineno, rng):
     ideal = Ideal(model.field, model.uvars, up)
     if ideal.is_unit():
         raise ChartError("downstairs ideal lifts to the empty set", lineno)
-    primes = _prime_cycle(ideal, ideal.dimension(), rng)
+    primes = _prime_cycle(ideal, ideal.dimension())
     if primes is None:
         raise ChartError(
-            "lift supports principal or zero-dimensional downstairs ideals",
-            lineno)
+            "lift supports downstairs ideals that lift to a hypersurface, "
+            "a zero-dimensional ideal or a solved-graph prime", lineno)
     parts = []
     seen = set()
     for p, _ in primes:
@@ -692,8 +690,9 @@ def _parse_command(scene: Scene, rest: str, lineno: int) -> Command:
             return Command(lineno, verb, {"suite": suite, "model": args[1],
                                           "count": count})
         if suite in GLOBAL_SUITES:
-            count = int(args[1]) if len(args) > 1 else 10
-            return Command(lineno, verb, {"suite": suite, "model": None,
-                                          "count": count})
+            # COUNT is accepted and ignored: global suites run fixed lists
+            if len(args) > 2 or not all(a.isdigit() for a in args[1:]):
+                raise ParseError(f"usage: run verify {suite} [COUNT]", lineno)
+            return Command(lineno, verb, {"suite": suite, "model": None})
         raise ParseError(f"unknown verify suite {suite!r}", lineno)
     raise ParseError(f"unknown command {verb!r}", lineno)

@@ -1,9 +1,10 @@
-"""Randomized property suites over the catalog models.
+"""Property suites over the catalog models.
 
-Each check draws its data from a caller-provided seeded generator, so a run
-is reproducible from the seed alone.  Results carry a pass/fail flag, the
-number of instances exercised, and a counterexample description when
-something failed.  The CLI `verify` command and the acceptance tests both
+The per-model suites draw their instances from a caller-provided seeded
+generator, so a run is reproducible from the seed alone; the global suites
+run fixed instance lists and take no arguments.  Results carry a pass/fail
+flag, the number of instances exercised, and a counterexample description
+when something failed.  The CLI `verify` command and the acceptance tests both
 call these functions.
 """
 
@@ -120,9 +121,9 @@ def check_eq4(model: LocalModel, count: int,
         cy = model.n - cx
         try:
             x, y = _proper_pair(model, rng, cx, cy)
-            prod = intersect_model(model, x, y, rng)
+            prod = intersect_model(model, x, y)
             upstairs = intersect_upstairs(pullback(model, x),
-                                          pullback(model, y), rng)
+                                          pullback(model, y))
         except NotProper:
             continue
         lhs = pullback(model, prod)
@@ -159,8 +160,8 @@ def check_commutativity(model: LocalModel, count: int,
         cy = model.n - cx
         try:
             x, y = _proper_pair(model, rng, cx, cy)
-            ab = intersect_model(model, x, y, rng)
-            ba = intersect_model(model, y, x, rng)
+            ab = intersect_model(model, x, y)
+            ba = intersect_model(model, y, x)
         except NotProper:
             continue
         if ab != ba:
@@ -189,10 +190,10 @@ def check_associativity(model: LocalModel, count: int,
         y = random_cycle(model, rng, 1, max_components=1, integral=True)
         z = random_cycle(model, rng, 1, max_components=1, integral=True)
         try:
-            xy = intersect_model(model, x, y, rng)
-            lhs = intersect_model(model, xy, z, rng)
-            yz = intersect_model(model, y, z, rng)
-            rhs = intersect_model(model, x, yz, rng)
+            xy = intersect_model(model, x, y)
+            lhs = intersect_model(model, xy, z)
+            yz = intersect_model(model, y, z)
+            rhs = intersect_model(model, x, yz)
         except OrbintError:
             continue
         if lhs != rhs:
@@ -250,20 +251,17 @@ def projection_instances():
     return out
 
 
-def check_projection_formula(count: int, rng: random.Random) -> VerifyResult:
+def check_projection_formula() -> VerifyResult:
     """f_*(X ._f Y) = f_*(X) . Y over the built-in instance list."""
     name = "projection-formula"
     instances = projection_instances()
-    done = 0
-    for fmap, x, y in instances:
-        if done >= max(count, len(instances)):
-            break
+    for done, (fmap, x, y) in enumerate(instances):
         try:
-            xy = f_product(fmap, x, y, rng)
-            lhs = pushforward_along_map(fmap, xy, rng) \
+            xy = f_product(fmap, x, y)
+            lhs = pushforward_along_map(fmap, xy) \
                 if not xy.is_empty() else DownstairsCycle.empty(fmap.target)
-            fx = pushforward_along_map(fmap, x, rng)
-            rhs = intersect_model(fmap.target, fx, y, rng)
+            fx = pushforward_along_map(fmap, x)
+            rhs = intersect_model(fmap.target, fx, y)
         except OrbintError as exc:
             return VerifyResult(name, False, done + 1,
                                 counterexample=f"{fmap!r} X={x!r} Y={y!r}: {exc}")
@@ -271,13 +269,10 @@ def check_projection_formula(count: int, rng: random.Random) -> VerifyResult:
             return VerifyResult(name, False, done + 1,
                                 counterexample=f"{fmap!r} X={x!r} Y={y!r}: "
                                                f"{lhs!r} vs {rhs!r}")
-        done += 1
-    passed = done >= min(count, len(instances)) and done > 0
-    return VerifyResult(name, passed, done,
-                        detail="" if passed else "not enough instances")
+    return VerifyResult(name, True, len(instances))
 
 
-def check_eq8(count: int, rng: random.Random) -> VerifyResult:
+def check_eq8() -> VerifyResult:
     """X . Y = X ._P (P . Y) with P = A1 x {0} inside A1 x C."""
     name = "eq8-product-slice"
     a1 = model_a1()
@@ -305,14 +300,13 @@ def check_eq8(count: int, rng: random.Random) -> VerifyResult:
         (a1_cycle([ua], coeff=Fraction(3, 2)), prod_cycle([pv - 5])),
         (a1_cycle([va - 2]), prod_cycle([pu - 4])),
     ]
-    done = 0
-    for x, y in instances[:max(count, len(instances))]:
+    for done, (x, y) in enumerate(instances):
         try:
-            jx = pushforward_along_map(inclusion, x, rng)
-            lhs = intersect_model(prod, jx, y, rng)
-            py = intersect_model(prod, p_cycle, y, rng)
-            inner = f_product(inclusion, x, py, rng)
-            rhs = pushforward_along_map(inclusion, inner, rng) \
+            jx = pushforward_along_map(inclusion, x)
+            lhs = intersect_model(prod, jx, y)
+            py = intersect_model(prod, p_cycle, y)
+            inner = f_product(inclusion, x, py)
+            rhs = pushforward_along_map(inclusion, inner) \
                 if not inner.is_empty() else DownstairsCycle.empty(prod)
         except OrbintError as exc:
             return VerifyResult(name, False, done + 1,
@@ -321,11 +315,10 @@ def check_eq8(count: int, rng: random.Random) -> VerifyResult:
             return VerifyResult(name, False, done + 1,
                                 counterexample=f"X={x!r} Y={y!r}: "
                                                f"{lhs!r} vs {rhs!r}")
-        done += 1
-    return VerifyResult(name, done >= min(count, len(instances)), done)
+    return VerifyResult(name, True, len(instances))
 
 
-def check_conservation(rng: random.Random) -> VerifyResult:
+def check_conservation() -> VerifyResult:
     """The moving-family instance across the singular fibre: totals all 1."""
     name = "conservation-of-number"
     a1 = model_a1()
@@ -337,13 +330,13 @@ def check_conservation(rng: random.Random) -> VerifyResult:
         a1, [(Ideal(QQ, a1.uvars, [ua]), 1)])
     fam = CycleFamily(a1, "s", [((sv - ss,), Fraction(1))],
                       (Fraction(-10), Fraction(10)))
-    report = conservation_check(x, fam, [0, 1, 2, 3], rng)
+    report = conservation_check(x, fam, [0, 1, 2, 3])
     ok = report.conserved and all(t == 1 for t in report.totals)
     detail = "totals " + ", ".join(str(t) for t in report.totals)
     return VerifyResult(name, ok, len(report.samples), detail=detail)
 
 
-def check_f_associativity(rng: random.Random) -> VerifyResult:
+def check_f_associativity() -> VerifyResult:
     """(X._fY)._{gof}Z = X._f(Y._gZ) on supported map chains."""
     name = "f-product-associativity"
     t1m = model_trivial(1)
@@ -370,22 +363,22 @@ def check_f_associativity(rng: random.Random) -> VerifyResult:
         (square, square, ModelMap(t1m, t1m, [s ** 4], name="quartic"),
          whole, whole, pt(16)),
     ]
-    done = 0
-    for f, g, gof, x, y, z in chains:
+    for done, (f, g, gof, x, y, z) in enumerate(chains):
         try:
-            xy = f_product(f, x, y, rng)
-            lhs = f_product(gof, xy, z, rng)
-            yz = f_product(g, y, z, rng)
-            rhs = f_product(f, x, yz, rng)
+            xy = f_product(f, x, y)
+            lhs = f_product(gof, xy, z)
+            yz = f_product(g, y, z)
+            rhs = f_product(f, x, yz)
         except OrbintError as exc:
             return VerifyResult(name, False, done + 1, counterexample=str(exc))
         if lhs != rhs:
             return VerifyResult(name, False, done + 1,
                                 counterexample=f"{lhs!r} vs {rhs!r}")
-        done += 1
-    return VerifyResult(name, done == len(chains), done)
+    return VerifyResult(name, True, len(chains))
 
 
+# Each entry looks its function up by name when called, so that a wrapper
+# installed on this module's function (as the benchmark tracer does) sees it.
 SUITES = {
     "pushpull": lambda model, count, rng: check_pushpull(model, count, rng),
     "eq4": lambda model, count, rng: check_eq4(model, count, rng),
@@ -394,8 +387,8 @@ SUITES = {
 }
 
 GLOBAL_SUITES = {
-    "projection": lambda count, rng: check_projection_formula(count, rng),
-    "eq8": lambda count, rng: check_eq8(count, rng),
-    "conservation": lambda count, rng: check_conservation(rng),
-    "fassoc": lambda count, rng: check_f_associativity(rng),
+    "projection": lambda: check_projection_formula(),
+    "eq8": lambda: check_eq8(),
+    "conservation": lambda: check_conservation(),
+    "fassoc": lambda: check_f_associativity(),
 }

@@ -64,11 +64,12 @@ def test_tracer_wraps_the_engine_and_matches_cprofile():
 
 
 SPLIT_SCRIPT = """
-import json, random, sys
+import json, random, sys, types
 sys.path[:0] = [{src!r}, {bench!r}]
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
+import orbint.cycle
 from orbint import QQ, CyclotomicField, Ideal, MultiPoly, split_clusters
 
 
@@ -88,18 +89,26 @@ class Forms(random.Random):
         return value
 
 
+# split_clusters seeds its own generator from the ideal: count its draws by
+# replacing the generator class it constructs, in orbint.cycle only
+made = []
+orbint.cycle.random = types.SimpleNamespace(
+    Random=lambda seed: made.append(Forms(seed, 2)) or made[-1])
 rows = []
 for field in (QQ, CyclotomicField(3)):
     vs = ("t1", "t2")
     t1, t2 = (MultiPoly.var(field, vs, v) for v in vs)
     for gens in ([t1 ** 2 - 1, t2 ** 2 - 1], [t2 - t1 ** 2, t2],
                  [t1 ** 2 - 2, t2 - t1], [t2 - t1 ** 3, t2 - t1]):
-        for seed in range(6):
+        for shift in range(6):
+            # six translates of each point set, each with its own seed
+            moved = {{"t1": t1 + shift, "t2": t2}}
             before = (tracer.count("arith.char_poly"),
                       tracer.count("arith.factor_univariate"),
-                      len(tracer.split_attempts))
-            rng = Forms(seed, 2)
-            split_clusters(Ideal(field, vs, gens), rng)
+                      len(tracer.split_attempts), len(made))
+            split_clusters(Ideal(field, vs, [g.substitute(moved) for g in gens]))
+            assert len(made) == before[3] + 1
+            rng = made[-1]
             rows.append([rng.attempts,
                          tracer.count("arith.char_poly") - before[0],
                          tracer.count("arith.factor_univariate") - before[1],
@@ -122,3 +131,16 @@ def test_split_clusters_makes_one_char_poly_and_one_factorization_per_attempt():
     for attempts, char_polys, factorizations, traced in rows:
         assert char_polys == factorizations == attempts
         assert traced == [attempts]
+
+
+def test_verify_suite_tables_call_through_the_module_bindings(monkeypatch):
+    """The suite tables must reach each check through its binding in
+    `orbint.verify`, which the tracer replaces, not through a stored
+    function object, which it cannot."""
+    import orbint.verify as verify
+    names = [name for name in vars(verify) if name.startswith("check_")]
+    for name in names:
+        monkeypatch.setattr(verify, name, lambda *args, name=name: name)
+    called = {entry(None, 0, None) for entry in verify.SUITES.values()}
+    called |= {entry() for entry in verify.GLOBAL_SUITES.values()}
+    assert called == set(names)

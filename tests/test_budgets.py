@@ -2,7 +2,6 @@
 
 import ast
 import dataclasses
-import random
 from pathlib import Path
 
 import pytest
@@ -69,8 +68,8 @@ def test_separation_retries_come_from_the_installed_budget():
     points = Ideal(QQ, XYZ, [x * x - 2, y - 1, z])
     with using(Budget(separation_retries=0)):
         with pytest.raises(SeparationFailure, match="within 0 retries"):
-            split_clusters(points, random.Random(0))
-    assert split_clusters(points, random.Random(0))
+            split_clusters(points)
+    assert split_clusters(points)
 
 
 def test_run_budget_governs_every_command():

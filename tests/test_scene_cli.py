@@ -67,6 +67,15 @@ def test_unknown_command_rejected():
         parse_scene(PAPER_SCENE + "run frobnicate X\n")
 
 
+def test_global_verify_suites_accept_and_ignore_count():
+    for line in ("run verify eq8", "run verify eq8 5"):
+        command = parse_scene(f"field rationals\n{line}\n").commands[0]
+        assert command.args == {"suite": "eq8", "model": None}
+    for line in ("run verify eq8 five", "run verify eq8 5 6"):
+        with pytest.raises(ParseError, match="usage: run verify eq8"):
+            parse_scene(f"field rationals\n{line}\n")
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(ChartError):
         parse_scene("field rationals\nmodel M = catalog A2\n")
@@ -197,6 +206,17 @@ cycle L on T = lift(w1, w2 - w3)
 """
     _, cycle = parse_scene(text).cycles["L"]
     assert repr(cycle) == "1 * [t2 - t3, t1]"
+    # the twisted cubic is none of the three shapes
+    text = """
+field rationals
+model T = catalog trivial-3
+cycle L on T = lift(w2 - w1^2, w3 - w1^3)
+"""
+    with pytest.raises(ChartError) as err:
+        parse_scene(text)
+    assert str(err.value) == (
+        "lift supports downstairs ideals that lift to a hypersurface, a "
+        "zero-dimensional ideal or a solved-graph prime (line 4)")
 
 
 def test_family_declarations_and_conserve():
