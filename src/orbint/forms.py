@@ -13,9 +13,15 @@ forms: polynomial numerators of bounded degree over a configured finite set
 of invariant denominators (by default 1, the expressed coordinate norms, and
 their squarefree products).  Each downstairs monomial and denominator is
 pulled up once per trace, and the ansatz matrix is built once per numerator
-degree bound: only the right-hand side, and the zero rows its extra
-monomials add, depends on the denominator.  The solved form is re-verified
-exactly before being returned.
+degree bound: only the right-hand side depends on the denominator.  A
+denominator whose right-hand side has a monomial outside the ansatz rows
+would add a zero row with a nonzero right-hand side, an exact witness of
+inconsistency, so it is screened out before any solve.  The solved form is
+re-verified exactly before being returned.
+
+Pull-backs substitute each coefficient once and carry dy_T through the
+polynomial Jacobian minors; the group action moves coefficients by a linear
+automorphism, which keeps them reduced without a gcd.
 """
 
 from __future__ import annotations
@@ -200,40 +206,74 @@ def pullback_form(images: dict[str, MultiPoly], a: DiffForm,
     (target variable -> polynomial in the source ring).
 
     Coefficients are substituted (DenominatorVanishesIdentically if a
-    denominator maps to zero) and each d(target var) becomes the total
-    differential of its image; the result is a wedge homomorphism.
+    denominator maps to zero) and each dy_T becomes
+    sum_I det(d images_T / d u_I) du_I, the wedge of the images'
+    differentials written through the polynomial Jacobian minors (Spivak,
+    Calculus on Manifolds, Thm 4-9).  So each coefficient is substituted
+    once and multiplied by one polynomial per source tuple I.
     """
-    field = a.field
     src = tuple(source_vars)
     for v in a.vars:
         if v not in images:
             raise ChartMismatch(f"no image for chart variable {v}")
         if images[v].vars != src:
             raise ValueError("images must live in the source ring")
+
+    def move(c: RationalFn) -> RationalFn:
+        try:
+            return c.substitute(images)
+        except ZeroDivisionError as exc:
+            raise DenominatorVanishesIdentically(str(exc)) from exc
+
+    return _pull_through_minors(images, a, src, move)
+
+
+def _pull_through_minors(images, a: DiffForm, src, move) -> DiffForm:
+    """sum_T move(a_T) dy_T on the source chart, with
+    dy_T = sum_I det(d images_T / d u_I) du_I."""
+    field = a.field
     if a.is_zero():
         return DiffForm.zero(field, src, a.degree)
-    one_src = RationalFn(MultiPoly.const(field, src, 1))
-    # differentials of the images, as 1-forms on the source chart
-    d_images = {}
-    for v in a.vars:
-        img = images[v]
-        terms = {}
+    jacobian = {}   # (chart index, source index) -> nonzero partial derivative
+    for i in {i for idx in a.terms for i in idx}:
+        img = images[a.vars[i]]
         for j in range(len(src)):
             dj = img.derivative(j)
             if not dj.is_zero():
-                terms[(j,)] = RationalFn(dj)
-        d_images[v] = DiffForm(field, src, 1, terms)
-    acc = DiffForm.zero(field, src, a.degree)
+                jacobian[i, j] = dj
+    sources = list(itertools.combinations(range(len(src)), a.degree))
+    out: dict = {}
     for idx, c in a.terms.items():
-        try:
-            moved = c.substitute(images)
-        except ZeroDivisionError as exc:
-            raise DenominatorVanishesIdentically(str(exc)) from exc
-        piece = DiffForm(field, src, 0, {(): moved})
-        for i in idx:
-            piece = wedge(piece, d_images[a.vars[i]])
-        acc = acc + piece
-    return acc
+        moved = move(c)
+        for target in sources:
+            minor = _minor(field, src, jacobian, idx, target)
+            if minor.is_zero():
+                continue
+            add = (moved * minor.constant_value() if minor.is_constant()
+                   else moved * minor)
+            s = out.get(target)
+            s = add if s is None else s + add
+            if s.is_zero():
+                out.pop(target, None)
+            else:
+                out[target] = s
+    return DiffForm(field, src, a.degree, out)
+
+
+def _minor(field, src, jacobian, rows, cols) -> MultiPoly:
+    """det(jacobian[rows, cols]) by the permutation expansion (rows and cols
+    have the form degree as length, at most the chart dimension)."""
+    total = MultiPoly.zero(field, src)
+    for perm in itertools.permutations(cols):
+        term = MultiPoly.const(field, src, _sort_with_sign(perm)[1])
+        for r, col in zip(rows, perm):
+            entry = jacobian.get((r, col))
+            if entry is None:
+                break
+            term = term * entry
+        else:
+            total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +288,19 @@ def q_pullback(model: LocalModel, a: DiffForm) -> DiffForm:
 
 
 def act_form(model: LocalModel, element, a: DiffForm) -> DiffForm:
-    """Linear substitution u -> g.u on coefficients and differentials."""
+    """Linear substitution u -> g.u on coefficients and differentials.
+
+    An invertible linear substitution is a ring automorphism, so it maps the
+    coprime num and den of each coefficient to a coprime pair: the moved
+    coefficient needs its denominator made monic and no gcd.  The
+    differentials go through the (constant) minors of g as in pullback_form.
+    """
     if a.vars != model.uvars:
         raise ChartMismatch("expected an upstairs form")
     images = {v: linear_form(model.field, model.uvars, element[i])
               for i, v in enumerate(model.uvars)}
-    return pullback_form(images, a, model.uvars)
+    return _pull_through_minors(images, a, model.uvars,
+                                lambda c: c.substitute_invertible(images))
 
 
 def symmetrize(model: LocalModel, a: DiffForm) -> DiffForm:
@@ -343,10 +390,10 @@ def trace_form(model: LocalModel, omega: DiffForm,
 
     for bound in range(max_degree + 1):
         monomials = _monomials_up_to(field, model.yvars, bound)
-        unknowns, blocks = _ansatz(model, omega_sym, tuples, pulled_basis,
-                                   [(m, pull(m)) for m in monomials])
+        unknowns, rows, blocks = _ansatz(model, omega_sym, tuples, pulled_basis,
+                                         [(m, pull(m)) for m in monomials])
         for den in dens:
-            alpha = _solve_single_denominator(model, omega_sym, unknowns,
+            alpha = _solve_single_denominator(model, omega_sym, unknowns, rows,
                                               blocks, den, pull(den))
             if alpha is not None:
                 return alpha
@@ -380,9 +427,9 @@ def _ansatz(model, omega_sym, tuples, pulled_basis, monomials):
     For alpha = sum_j c_j m_j dy_T / den, the system q^(alpha) = omega_sym
     reads sum_j c_j col_j[idx] * t_den = t_num * q^(den) for each index idx of
     the upstairs forms, with omega_sym[idx] = t_num/t_den, one equation per
-    monomial.  Returns the unknowns and, per idx in sorted order, t_num (None
-    where omega_sym has no such term) and the left-hand rows keyed by
-    monomial.
+    monomial.  Returns the unknowns, every block's left-hand rows in order,
+    and per idx in sorted order t_num (None where omega_sym has no such
+    term) with the block's rows keyed by monomial in sorted order.
     """
     field = model.field
     unknowns = []
@@ -397,6 +444,7 @@ def _ansatz(model, omega_sym, tuples, pulled_basis, monomials):
                     col[idx] = num
             unknowns.append((t, m))
             columns.append(col)
+    rows = []
     blocks = []
     for idx in sorted({i for c in columns for i in c} | set(omega_sym.terms)):
         target = omega_sym.terms.get(idx)
@@ -414,27 +462,33 @@ def _ansatz(model, omega_sym, tuples, pulled_basis, monomials):
                 if row is None:
                     row = lhs_rows[mono] = [field.zero] * len(columns)
                 row[j] = c
+        lhs_rows = {mono: lhs_rows[mono] for mono in sorted(lhs_rows)}
+        rows.extend(lhs_rows.values())
         blocks.append((t_num, lhs_rows))
-    return unknowns, blocks
+    return unknowns, rows, blocks
 
 
-def _solve_single_denominator(model, omega_sym, unknowns, blocks, den, den_up):
+def _solve_single_denominator(model, omega_sym, unknowns, rows, blocks, den,
+                              den_up):
     """Try alpha = (sum_j c_j m_j dy_T) / den, given den_up = q^(den) and the
-    system from `_ansatz`; returns the form or None."""
+    system from `_ansatz`; returns the form or None.
+
+    A monomial of t_num * q^(den) outside its block's rows would add a zero
+    row with a nonzero right-hand side, an exact witness that the system is
+    inconsistent, so such a candidate is refused before any solve.  Past
+    that screen the rows are exactly the ansatz rows, shared by every
+    denominator (solve_linear only reads them), and only the right-hand
+    side is built here.
+    """
     field = model.field
     if den_up.is_zero():
         return None
-    # the rows are shared between denominators; solve_linear only reads them
-    zero_row = [field.zero] * len(unknowns)
-    rows = []
     rhs = []
     for t_num, lhs_rows in blocks:
         rhs_terms = {} if t_num is None else (t_num * den_up).terms
-        for mono in sorted(lhs_rows.keys() | rhs_terms.keys()):
-            rows.append(lhs_rows.get(mono, zero_row))
-            rhs.append(rhs_terms.get(mono, field.zero))
-    if not rows:
-        return None
+        if not rhs_terms.keys() <= lhs_rows.keys():
+            return None
+        rhs.extend(rhs_terms.get(mono, field.zero) for mono in lhs_rows)
     sol = solve_linear(field, rows, rhs)
     if not sol.consistent:
         return None

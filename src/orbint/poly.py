@@ -1151,6 +1151,18 @@ class RationalFn:
             raise ZeroDivisionError("denominator vanishes under substitution")
         return RationalFn(num, den)
 
+    def substitute_invertible(self, images: dict[str, MultiPoly]) -> "RationalFn":
+        """Substitute an invertible linear change of this ring's variables.
+
+        Precondition, not checked: `images` sends the variables to linearly
+        independent linear forms in the same ring.  That substitution is a
+        ring automorphism, so a common factor of the images of num and den
+        would pull back to a common factor of num and den: the images stay
+        coprime and only the denominator is made monic, with no gcd.
+        """
+        return RationalFn._coprime(self.num.substitute(images),
+                                   self.den.substitute(images))
+
     def __repr__(self):
         if self.is_polynomial():
             if self.den.constant_value() == self.field.one:

@@ -682,7 +682,8 @@ def _parse_command(scene: Scene, rest: str, lineno: int) -> Command:
         suite = args[0]
         from .verify import GLOBAL_SUITES, SUITES
         if suite in SUITES:
-            if len(args) not in (2, 3):
+            if (len(args) not in (2, 3)
+                    or not all(a.isdecimal() for a in args[2:])):
                 raise ParseError(f"usage: run verify {suite} MODEL [COUNT]",
                                  lineno)
             _model_of(scene, args[1], lineno)
@@ -691,7 +692,7 @@ def _parse_command(scene: Scene, rest: str, lineno: int) -> Command:
                                           "count": count})
         if suite in GLOBAL_SUITES:
             # COUNT is accepted and ignored: global suites run fixed lists
-            if len(args) > 2 or not all(a.isdigit() for a in args[1:]):
+            if len(args) > 2 or not all(a.isdecimal() for a in args[1:]):
                 raise ParseError(f"usage: run verify {suite} [COUNT]", lineno)
             return Command(lineno, verb, {"suite": suite, "model": None})
         raise ParseError(f"unknown verify suite {suite!r}", lineno)

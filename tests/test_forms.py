@@ -9,12 +9,16 @@ import pytest
 from orbint import forms
 from orbint.arith import QQ
 from orbint.budgets import Budget
-from orbint.errors import AnsatzExhausted, ChartMismatch
+from orbint.errors import (AnsatzExhausted, ChartMismatch,
+                           DenominatorVanishesIdentically)
 from orbint.forms import (DiffForm, act_form, default_denominators,
-                          downstairs_equal, exterior_d, q_pullback, symmetrize,
-                          trace_form, verify_direct_factor, wedge)
+                          downstairs_equal, exterior_d, pullback_form,
+                          q_pullback, symmetrize, trace_form,
+                          verify_direct_factor, wedge)
+from orbint.group import linear_form
 from orbint.poly import MultiPoly, RationalFn
-from orbint.quotient import LocalModel, express_in_invariants
+from orbint.quotient import LocalModel, catalog_model, express_in_invariants
+from orbint.scene import parse_scene
 
 
 def d_up(model, name):
@@ -327,8 +331,12 @@ def _reference_trace(model, omega, budget):
 
 def _trace_samples(model, rng):
     """Seeded downstairs forms pulled up, in degrees 0-2, with rational
-    scalars and default denominators, plus an upstairs form that needs a
-    denominator outside the default set."""
+    scalars and default denominators, plus (last) an upstairs form that needs
+    a denominator outside the default set."""
+    return _pulled_back_samples(model, rng) + [_outside_sample(model)]
+
+
+def _pulled_back_samples(model, rng):
     field, yvars = model.field, model.yvars
     dens = default_denominators(model)
     out = []
@@ -341,21 +349,42 @@ def _trace_samples(model, rng):
                 num = num + MultiPoly.var(field, yvars, v) * rng.randint(-2, 2)
             terms[idx] = RationalFn(num, dens[rng.randrange(len(dens))])
         out.append(q_pullback(model, DiffForm(field, yvars, degree, terms)))
-    u0 = MultiPoly.var(field, model.uvars, model.uvars[0])
-    u1 = MultiPoly.var(field, model.uvars, model.uvars[1])
-    out.append(d_up(model, model.uvars[0]).scale(RationalFn(u1 * u1 + 1, u0 - 1)))
     return out
 
 
-def test_trace_system_matches_the_per_denominator_reference(
-        a1, a2, prod_a1_t1, monkeypatch):
+def _outside_sample(model):
+    u0 = MultiPoly.var(model.field, model.uvars, model.uvars[0])
+    u1 = MultiPoly.var(model.field, model.uvars, model.uvars[1])
+    return d_up(model, model.uvars[0]).scale(RationalFn(u1 * u1 + 1, u0 - 1))
+
+
+def _zero_row_witness(rows, rhs) -> bool:
+    """A zero row with a nonzero right-hand side: an exact proof that the
+    system has no solution."""
+    return any(b and not any(row) for row, b in zip(rows, rhs))
+
+
+def _record_systems(monkeypatch):
+    """Record each (rows, rhs, consistent) that reaches forms.solve_linear."""
     systems = []
     real_solve = forms.solve_linear
 
     def recording_solve(field, rows, rhs):
-        systems.append(([list(r) for r in rows], list(rhs)))
-        return real_solve(field, rows, rhs)
+        sol = real_solve(field, rows, rhs)
+        systems.append(([list(r) for r in rows], list(rhs), sol.consistent))
+        return sol
 
+    monkeypatch.setattr(forms, "solve_linear", recording_solve)
+    return systems
+
+
+def test_trace_system_matches_the_per_denominator_reference(
+        a1, a2, prod_a1_t1, monkeypatch):
+    # The reference solves every candidate; trace_form solves, in the same
+    # order, exactly those without a zero-row witness.  On the pulled-back
+    # samples those are the consistent ones; the sample outside the ansatz
+    # also passes the screen with inconsistent systems.
+    systems = _record_systems(monkeypatch)
     pulls = []
     real_pull = LocalModel.pull_poly
 
@@ -363,13 +392,13 @@ def test_trace_system_matches_the_per_denominator_reference(
         pulls.append(p)
         return real_pull(self, p)
 
-    monkeypatch.setattr(forms, "solve_linear", recording_solve)
     monkeypatch.setattr(LocalModel, "pull_poly", counting_pull)
     budget = Budget(ansatz_degree=2)
     rng = random.Random(7)
-    seen = {"solved": 0, "exhausted": 0, "rational_target": 0}
+    seen = {"solved": 0, "exhausted": 0, "rational_target": 0, "skipped": 0}
     for model in (a1, a2, prod_a1_t1):
-        for omega in _trace_samples(model, rng):
+        samples = _trace_samples(model, rng)
+        for omega in samples:
             seen["rational_target"] += any(not c.is_polynomial()
                                            for c in omega.terms.values())
             outcomes = []
@@ -384,8 +413,201 @@ def test_trace_system_matches_the_per_denominator_reference(
                 if trace is forms.trace_form:
                     assert len(pulls) == len(set(pulls))
             (got, got_systems), (want, want_systems) = outcomes
-            assert got_systems == want_systems
+            assert got_systems == [s for s in want_systems
+                                   if not _zero_row_witness(s[0], s[1])]
+            for rows, rhs, consistent in want_systems:
+                if _zero_row_witness(rows, rhs):
+                    assert not consistent
+                    seen["skipped"] += 1
+                elif omega is not samples[-1]:
+                    assert consistent
             assert got == want
             seen["solved" if got is not AnsatzExhausted else "exhausted"] += 1
     assert seen["exhausted"] >= 3 and seen["solved"] >= 6
     assert seen["rational_target"] >= 6, seen
+    assert seen["skipped"] > 0, seen
+
+
+def test_every_solved_trace_system_of_a_pull_back_is_consistent(
+        a1, a2, prod_a1_t1, monkeypatch):
+    # Past the zero-row screen no system of a pulled-back form is
+    # inconsistent; a form outside the ansatz still reaches solve_linear,
+    # which stays the exact arbiter.
+    systems = _record_systems(monkeypatch)
+    budget = Budget(ansatz_degree=2)
+    rng = random.Random(11)
+    for model in (a1, a2, prod_a1_t1):
+        for omega in _pulled_back_samples(model, rng):
+            try:
+                forms.trace_form(model, omega, budget=budget)
+            except AnsatzExhausted:
+                pass
+    assert len(systems) >= 6
+    assert all(consistent for _, _, consistent in systems)
+    systems.clear()
+    with pytest.raises(AnsatzExhausted):
+        forms.trace_form(a1, _outside_sample(a1), budget=budget)
+    assert systems and not any(consistent for _, _, consistent in systems)
+
+
+# --- pull-back and group action against the wedge-chain reference -------------
+
+def _reference_pullback(images, a, source_vars):
+    """The wedge-chain pull-back the Jacobian minors replaced: each
+    coefficient is substituted with a full gcd and wedged with the total
+    differential of each image in turn."""
+    field, src = a.field, tuple(source_vars)
+    d_images = {}
+    for v in a.vars:
+        terms = {}
+        for j in range(len(src)):
+            dj = images[v].derivative(j)
+            if not dj.is_zero():
+                terms[(j,)] = RationalFn(dj)
+        d_images[v] = DiffForm(field, src, 1, terms)
+    acc = DiffForm.zero(field, src, a.degree)
+    for idx, c in a.terms.items():
+        num, den = c.num.substitute(images), c.den.substitute(images)
+        if den.is_zero():
+            raise DenominatorVanishesIdentically("reference")
+        piece = DiffForm(field, src, 0, {(): RationalFn(num, den)})
+        for i in idx:
+            piece = wedge(piece, d_images[a.vars[i]])
+        acc = acc + piece
+    return acc
+
+
+def _element_images(model, element):
+    return {v: linear_form(model.field, model.uvars, element[i])
+            for i, v in enumerate(model.uvars)}
+
+
+def _reference_symmetrize(model, a):
+    acc = DiffForm.zero(model.field, model.uvars, a.degree)
+    for el in model.group:
+        acc = acc + _reference_pullback(_element_images(model, el), a,
+                                        model.uvars)
+    return acc
+
+
+def _seeded_forms(field, variables, dens, rng):
+    """One seeded form of each degree 0..len(variables) whose coefficients
+    have affine numerators over denominators drawn from `dens`."""
+    out = []
+    for degree in range(len(variables) + 1):
+        slots = list(itertools.combinations(range(len(variables)), degree))
+        terms = {}
+        for idx in rng.sample(slots, min(3, len(slots))):
+            num = MultiPoly.const(field, variables,
+                                  Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+            for v in variables:
+                num = num + MultiPoly.var(field, variables, v) * rng.randint(-2, 2)
+            terms[idx] = RationalFn(num, rng.choice(dens))
+        out.append(DiffForm(field, variables, degree, terms))
+    return out
+
+
+def _upstairs_denominators(model):
+    """Denominators whose leading coefficient a group element can move,
+    so the action must make them monic again."""
+    field, uvars = model.field, model.uvars
+    u = [MultiPoly.var(field, uvars, v) for v in uvars]
+    one = MultiPoly.const(field, uvars, 1)
+    return [one, u[0] - 1, u[0] + u[-1] * 2, u[0] * u[-1] + 1, u[-1] * u[-1] - 3]
+
+
+MODELS = ("A1", "A2", "trivial-3", "product(A1, trivial-1)")
+SWAP_SCENE = ("field rationals\nmodel S = quotient generators [[0, 1], [1, 0]] "
+              "invariants u + v, u*v upstairs u, v downstairs s, p\n")
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_q_pullback_matches_the_wedge_chain(name):
+    model = catalog_model(name)
+    rng = random.Random(f"pullback:{name}")
+    dens = default_denominators(model)
+    for alpha in _seeded_forms(model.field, model.yvars, dens, rng):
+        assert q_pullback(model, alpha) == _reference_pullback(
+            model.theta_images(), alpha, model.uvars)
+
+
+def test_q_pullback_of_coefficients_sharing_factors_with_minors(a1):
+    # z/x dx pulls back to (v/u)(2u du) = 2v du: the minor 2u cancels the
+    # pulled denominator; likewise z/(x y) dx^dy and y/z dz
+    x, y, z = (dpoly(a1, n) for n in a1.yvars)
+    dx, dy, dz = (d_down(a1, n) for n in a1.yvars)
+    v = upoly(a1, "v")
+    forms_ = [dx.scale(RationalFn(z, x)), wedge(dx, dy).scale(RationalFn(z, x * y)),
+              dz.scale(RationalFn(y, z)) + dx.scale(RationalFn(z, x)),
+              wedge(dx, dz).scale(RationalFn(y, x * z))]
+    assert q_pullback(a1, forms_[0]) == d_up(a1, "u").scale(RationalFn(v * 2))
+    for alpha in forms_:
+        assert q_pullback(a1, alpha) == _reference_pullback(
+            a1.theta_images(), alpha, a1.uvars)
+
+
+def test_pullback_along_a_non_linear_map_matches_the_wedge_chain():
+    target = ("s", "t")
+    source = ("a", "b", "c")
+    a, b, c = (MultiPoly.var(QQ, source, v) for v in source)
+    images = {"s": a * b + c * c, "t": a - c ** 3 + 1}
+    s, t = (MultiPoly.var(QQ, target, v) for v in target)
+    one = MultiPoly.const(QQ, target, 1)
+    rng = random.Random("non-linear")
+    for alpha in _seeded_forms(QQ, target, [one, s, t - 1, s * t + 2], rng):
+        assert pullback_form(images, alpha, source) == \
+            _reference_pullback(images, alpha, source)
+    # a square map whose Jacobian determinant shares a factor with the
+    # pulled denominator: (s, t) -> (a^2, a b), ds^dt / s -> 2 da^db
+    square = {"s": a * a, "t": a * b}
+    vol = wedge(DiffForm.d_var(QQ, target, "s"), DiffForm.d_var(QQ, target, "t"))
+    got = pullback_form(square, vol.scale(RationalFn(one, s)), source)
+    assert got == wedge(DiffForm.d_var(QQ, source, "a"),
+                        DiffForm.d_var(QQ, source, "b")).scale(2)
+
+
+def test_pullback_raises_when_a_denominator_vanishes():
+    target, source = ("s", "t"), ("a",)
+    a = MultiPoly.var(QQ, source, "a")
+    s, t = (MultiPoly.var(QQ, target, v) for v in target)
+    alpha = DiffForm.d_var(QQ, target, "s").scale(
+        RationalFn(MultiPoly.const(QQ, target, 1), s - t))
+    images = {"s": a, "t": a}
+    for pull in (pullback_form, _reference_pullback):
+        with pytest.raises(DenominatorVanishesIdentically):
+            pull(images, alpha, source)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_act_form_matches_the_reference_on_every_element(name):
+    model = catalog_model(name)
+    rng = random.Random(f"act:{name}")
+    dens = _upstairs_denominators(model)
+    samples = _seeded_forms(model.field, model.uvars, dens, rng)
+    for el in model.group:
+        images = _element_images(model, el)
+        for omega in samples:
+            assert act_form(model, el, omega) == _reference_pullback(
+                images, omega, model.uvars)
+            for c in omega.terms.values():
+                assert c.substitute_invertible(images) == RationalFn(
+                    c.num.substitute(images), c.den.substitute(images))
+    for omega in samples:
+        assert symmetrize(model, omega) == _reference_symmetrize(model, omega)
+
+
+def test_act_form_on_a_non_diagonal_group():
+    model = parse_scene(SWAP_SCENE).models["S"]
+    assert model.k == 2
+    rng = random.Random("swap")
+    samples = _seeded_forms(model.field, model.uvars,
+                            _upstairs_denominators(model), rng)
+    for el in model.group:
+        for omega in samples:
+            assert act_form(model, el, omega) == _reference_pullback(
+                _element_images(model, el), omega, model.uvars)
+    for omega in samples:
+        sym = symmetrize(model, omega)
+        assert sym == _reference_symmetrize(model, omega)
+        for el in model.group:
+            assert act_form(model, el, sym) == sym

@@ -71,9 +71,22 @@ def test_global_verify_suites_accept_and_ignore_count():
     for line in ("run verify eq8", "run verify eq8 5"):
         command = parse_scene(f"field rationals\n{line}\n").commands[0]
         assert command.args == {"suite": "eq8", "model": None}
-    for line in ("run verify eq8 five", "run verify eq8 5 6"):
+    for line in ("run verify eq8 five", "run verify eq8 5 6",
+                 "run verify eq8 ²"):
         with pytest.raises(ParseError, match="usage: run verify eq8"):
             parse_scene(f"field rationals\n{line}\n")
+
+
+@pytest.mark.parametrize("count", ["ten", "-3", "2.5"])
+def test_per_model_verify_count_must_be_a_count(tmp_path, capsys, count):
+    assert parse_scene(PAPER_SCENE + "run verify pushpull M 3\n") \
+        .commands[-1].args["count"] == 3
+    path = tmp_path / "count.scene"
+    path.write_text(PAPER_SCENE + f"run verify pushpull M {count}\n")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: run verify pushpull MODEL [COUNT]" in captured.err
 
 
 def test_field_mismatch_rejected():
