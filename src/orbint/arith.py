@@ -94,27 +94,11 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
     if n < 1:
         raise ValueError("conductor must be positive")
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = UniPoly(QQ, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            poly = _qlist_exact_div(poly, phi_d)
-    return poly
-
-
-def _qlist_exact_div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact division of ascending Fraction coefficient lists."""
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("division was not exact")
-    return out
+            poly = poly.exact_div(UniPoly(QQ, cyclotomic_polynomial(d)))
+    return list(poly.coeffs)
 
 
 class CyclotomicField(Field):
@@ -500,12 +484,6 @@ class UniPoly:
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
-
-    def eval(self, value):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         acc = UniPoly.zero(self.field)

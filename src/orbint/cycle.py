@@ -48,7 +48,7 @@ from .errors import (NonCMWarning, NotEquidimensional, NotFiniteOnSupport,
                      PositiveDimensionalIntersection,
                      SampleDisagreement, SeparationFailure,
                      SpecializationDegenerate, UnsupportedPreimageShape)
-from .group import act, act_ideal, inertia_group
+from .group import act_ideal, inertia_group, orbit_translates, substitution
 from .poly import GREVLEX, Ideal, MultiPoly, mp_factor
 from .quotient import LocalModel
 
@@ -84,20 +84,11 @@ class OrbitClass:
         hit = cache.get(key0)
         if hit is not None:
             return hit
-        group = model.group
-        translates = {}
-        stab = 0
-        for el in group:
-            moved = act_ideal(group, el, prime)
-            k = moved.canonical_key()
-            if k == key0:
-                stab += 1
-            if k not in translates:
-                translates[k] = moved
+        translates, stab = orbit_translates(model.group, prime)
         members = tuple(translates[k] for k in sorted(translates))
         rep = translates[min(translates)]
-        inert = inertia_group(group, rep).order
-        orbit = cls(model, rep, members, stab, inert)
+        inert = inertia_group(model.group, rep).order
+        orbit = cls(model, rep, members, len(stab), inert)
         for k in translates:
             cache[k] = orbit
         return orbit
@@ -560,20 +551,19 @@ class ModelMap:
 
     def _derive_phi(self) -> dict[int, int]:
         phi = {}
-        sg, tg = self.source.group, self.target.group
-        for gi, g in enumerate(sg):
-            moved = [act(sg, g, f) for f in self.components]
-            for hi, h in enumerate(tg):
-                ok = True
-                for j in range(self.target.n):
-                    img = MultiPoly.zero(self.source.field, self.source.uvars)
-                    for t, c in enumerate(h[j]):
-                        if c:
-                            img = img + self.components[t] * c
-                    if img != moved[j]:
-                        ok = False
-                        break
-                if ok:
+        source, target = self.source, self.target
+        at_map = dict(zip(target.uvars, self.components))
+        # h.F for each target element h: (h.u)_j evaluated at u = F
+        target_side = []
+        for h in target.group:
+            images = substitution(h, target.field, target.uvars)
+            target_side.append([images[v].substitute(at_map)
+                                for v in target.uvars])
+        for gi, g in enumerate(source.group):
+            images = substitution(g, source.field, source.uvars)
+            moved = [f.substitute(images) for f in self.components]
+            for hi, image in enumerate(target_side):
+                if image == moved:
                     phi[gi] = hi
                     break
             else:
@@ -615,15 +605,10 @@ class ModelMap:
                         - comp.embed(joint))
         big = Ideal(self.source.field, joint, gens)
         elim = big.eliminate(list(tgt))
-        rename = dict(zip(tgt, self.target.uvars))
-        out = []
-        for g in elim.gens:
-            out.append(MultiPoly(self.target.field, self.target.uvars,
-                                 {m: c for m, c in
-                                  MultiPoly(g.field,
-                                            tuple(rename[v] for v in g.vars),
-                                            dict(g.terms)).terms.items()}))
-        return Ideal(self.target.field, self.target.uvars, out)
+        # eliminate keeps the F_ variables in the order of target.uvars
+        return Ideal(self.target.field, self.target.uvars,
+                     [MultiPoly(self.target.field, self.target.uvars,
+                                dict(g.terms)) for g in elim.gens])
 
     def __repr__(self):
         return (f"ModelMap({self.name}: {self.source.name} -> "
@@ -812,29 +797,28 @@ class CycleFamily:
         probes = [mid, mid + Fraction(1, 3), mid - Fraction(1, 2),
                   lo, hi, mid + 1, mid - 1]
         probes = [p for p in probes if lo <= p <= hi]
-        model = self.model
         out = []
         for gens, _ in self.components:
-            best = model.k
+            best = self.model.k
             for p in probes:
-                sub = {self.param: MultiPoly.const(model.field, model.uvars, p)}
-                for v in model.uvars:
-                    sub[v] = MultiPoly.var(model.field, model.uvars, v)
-                members = [g.substitute(sub) for g in gens]
-                members = [g for g in members if not g.is_zero()]
-                if not members:
+                j = self.member_ideal(gens, p)
+                if not j.gens or j.is_unit():
                     continue
-                j = Ideal(model.field, model.uvars, members)
-                if j.is_unit():
-                    continue
-                keys = {act_ideal(model.group, el, j).canonical_key()
-                        for el in model.group}
-                stab = model.k // len(keys)
+                stab = len(orbit_translates(self.model.group, j)[1])
                 best = min(best, stab)
                 if best == 1:
                     break
             out.append(best)
         return tuple(out)
+
+    def member_ideal(self, gens, value) -> Ideal:
+        """The upstairs ideal of one component's generators at param = value."""
+        model = self.model
+        sub = {self.param: MultiPoly.const(model.field, model.uvars, value)}
+        for v in model.uvars:
+            sub[v] = MultiPoly.var(model.field, model.uvars, v)
+        return Ideal(model.field, model.uvars,
+                     [g.substitute(sub) for g in gens])
 
 
 def specialize(family: CycleFamily, value) -> DownstairsCycle:
@@ -850,21 +834,16 @@ def specialize(family: CycleFamily, value) -> DownstairsCycle:
     lo, hi = family.window
     if not (lo <= value <= hi):
         raise ValueError(f"parameter {value} outside window [{lo}, {hi}]")
-    sub = {family.param: MultiPoly.const(model.field, model.uvars, value)}
-    for v in model.uvars:
-        sub[v] = MultiPoly.var(model.field, model.uvars, v)
     total: list[tuple[Ideal, Fraction]] = []
     dims = set()
     for (gens, coeff), gstab in zip(family.components, family.generic_stabs):
         coeff = coeff / gstab
-        members = [g.substitute(sub) for g in gens]
-        members = [g for g in members if not g.is_zero()]
-        if not members:
+        member = family.member_ideal(gens, value)
+        if not member.gens:
             raise SpecializationDegenerate(
                 f"family member at {value} is the whole space")
         for el in model.group:
-            tgens = [act(model.group, el, g) for g in members]
-            j = Ideal(model.field, model.uvars, tgens)
+            j = act_ideal(model.group, el, member)
             if j.is_unit():
                 raise SpecializationDegenerate(
                     f"family member at {value} is empty")

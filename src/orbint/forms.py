@@ -34,7 +34,7 @@ from .arith import solve_linear
 from .budgets import Budget
 from .errors import (AnsatzExhausted, ChartMismatch,
                      DenominatorVanishesIdentically)
-from .group import linear_form
+from .group import substitution
 from .poly import GREVLEX, MultiPoly, RationalFn
 from .quotient import LocalModel, express_in_invariants, norm_polynomial
 
@@ -77,12 +77,6 @@ class DiffForm:
     @classmethod
     def function(cls, coeff: RationalFn):
         return cls(coeff.field, coeff.vars, 0, {(): coeff})
-
-    @classmethod
-    def d_var(cls, field, variables, name):
-        idx = variables.index(name)
-        one = RationalFn(MultiPoly.const(field, variables, 1))
-        return cls(field, variables, 1, {(idx,): one})
 
     # -- structure ------------------------------------------------------------
 
@@ -297,8 +291,7 @@ def act_form(model: LocalModel, element, a: DiffForm) -> DiffForm:
     """
     if a.vars != model.uvars:
         raise ChartMismatch("expected an upstairs form")
-    images = {v: linear_form(model.field, model.uvars, element[i])
-              for i, v in enumerate(model.uvars)}
+    images = substitution(element, model.field, model.uvars)
     return _pull_through_minors(images, a, model.uvars,
                                 lambda c: c.substitute_invertible(images))
 

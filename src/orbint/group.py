@@ -2,10 +2,15 @@
 
 Elements are dense matrices over the base field, enumerated by closure from
 the generators; equality is exact matrix comparison (desk scale: order below
-10^4, dimension below ~6).  The action on a polynomial is the substitution
-u_i -> (g.u)_i, extended to ideals generator-wise.  Orbit sums (Reynolds
-operator, norms, symmetrized forms) do not depend on the substitution-vs-
-inverse convention because they range over the whole group.
+10^4, dimension below ~6).  This module is the one place that turns a group
+element into its action: `substitution` sends u_i -> (g.u)_i, each image one
+linear form read off row i of g, and `act`, `act_ideal`, `inertia_group`, the
+form action and the equivariance check of a model map all substitute through
+it.  `orbit_translates` is the one loop over the translates g.I of an ideal,
+keyed by canonical key; orbit classes, setwise stabilizers and family
+stabilizers read it.  Orbit sums (Reynolds operator, norms, symmetrized
+forms) do not depend on the substitution-vs-inverse convention because they
+range over the whole group.
 """
 
 from __future__ import annotations
@@ -32,9 +37,6 @@ class FiniteMatrixGroup:
     @property
     def identity(self):
         return _identity(self.field, self.n)
-
-    def multiply(self, a, b):
-        return _mat_mul(self.field, a, b)
 
     def __iter__(self):
         return iter(self.elements)
@@ -114,16 +116,6 @@ class Subgroup:
         self.elements = list(elements)
         self.order = len(elements)
 
-    def verify_closure(self) -> bool:
-        eset = set(self.elements)
-        if self.parent.identity not in eset:
-            return False
-        for a in self.elements:
-            for b in self.elements:
-                if self.parent.multiply(a, b) not in eset:
-                    return False
-        return True
-
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.order})"
 
@@ -135,24 +127,30 @@ class Subgroup:
 def linear_form(field: Field, variables: tuple[str, ...], row) -> MultiPoly:
     """The linear form sum_j row[j] * u_j in F[variables]: coordinate i of
     g.u when row is row i of the matrix g."""
-    form = MultiPoly.zero(field, variables)
-    for j, c in enumerate(row):
-        if c:
-            form = form + MultiPoly.var(field, variables, variables[j]) * c
-    return form
+    n = len(variables)
+    return MultiPoly(field, variables,
+                     {tuple(int(i == j) for i in range(n)): c
+                      for j, c in enumerate(row) if c})
+
+
+def substitution(element, field: Field,
+                 variables: tuple[str, ...]) -> dict[str, MultiPoly]:
+    """The substitution u_i -> (g.u)_i of F[variables] for the matrix g."""
+    if len(element) != len(variables):
+        raise ValueError("arity mismatch between group and polynomial")
+    return {v: linear_form(field, variables, element[i])
+            for i, v in enumerate(variables)}
 
 
 def act(group: FiniteMatrixGroup, element, f: MultiPoly) -> MultiPoly:
     """Substitution u_i -> (g.u)_i applied to f (a ring homomorphism)."""
-    if len(f.vars) != group.n:
-        raise ValueError("arity mismatch between group and polynomial")
-    images = {v: linear_form(f.field, f.vars, element[i])
-              for i, v in enumerate(f.vars)}
-    return f.substitute(images)
+    return f.substitute(substitution(element, f.field, f.vars))
+
 
 def act_ideal(group: FiniteMatrixGroup, element, ideal: Ideal) -> Ideal:
+    images = substitution(element, ideal.field, ideal.vars)
     return Ideal(ideal.field, ideal.vars,
-                 [act(group, element, g) for g in ideal.gens])
+                 [g.substitute(images) for g in ideal.gens])
 
 
 def reynolds(group: FiniteMatrixGroup, f: MultiPoly) -> MultiPoly:
@@ -208,26 +206,36 @@ def _series_inverse(p: UniPoly, terms: int) -> list:
 # stabilizers
 # ---------------------------------------------------------------------------
 
+def orbit_translates(group: FiniteMatrixGroup,
+                     ideal: Ideal) -> tuple[dict, list]:
+    """The distinct translates g.I by canonical key, each the first reached
+    in group order, and the elements g of the setwise stabilizer (g.I = I)."""
+    key = ideal.canonical_key()
+    translates = {}
+    stabilizer = []
+    for el in group:
+        moved = act_ideal(group, el, ideal)
+        k = moved.canonical_key()
+        if k == key:
+            stabilizer.append(el)
+        translates.setdefault(k, moved)
+    return translates, stabilizer
+
+
 def setwise_stabilizer(group: FiniteMatrixGroup, prime: Ideal) -> Subgroup:
     """Elements mapping the ideal to itself (as an ideal)."""
-    key = prime.canonical_key()
-    members = []
-    for el in group:
-        if act_ideal(group, el, prime).canonical_key() == key:
-            members.append(el)
-    return Subgroup(group, members)
+    return Subgroup(group, orbit_translates(group, prime)[1])
 
 
 def inertia_group(group: FiniteMatrixGroup, prime: Ideal) -> Subgroup:
     """Elements fixing the zero set of the prime pointwise:
     (g.u)_i - u_i lies in the ideal for every coordinate u_i."""
     members = []
-    variables = prime.vars
-    field = prime.field
+    field, variables = prime.field, prime.vars
     for el in group:
+        images = substitution(el, field, variables)
         # all() stops at the first coordinate that moves off the zero set
-        if all(prime.contains(linear_form(field, variables, el[i])
-                              - MultiPoly.var(field, variables, v))
-               for i, v in enumerate(variables)):
+        if all(prime.contains(images[v] - MultiPoly.var(field, variables, v))
+               for v in variables):
             members.append(el)
     return Subgroup(group, members)

@@ -534,11 +534,6 @@ def _parse_family(scene: Scene, rest: str, lineno: int):
         raise ChartError(str(exc), lineno)
 
 
-_CYCLE_COMMANDS = {
-    "intersect": 2, "pullback": 1, "proper": 2, "show": 1,
-}
-
-
 def _parse_command(scene: Scene, rest: str, lineno: int) -> Command:
     tokens = rest.split()
     if not tokens:

@@ -75,8 +75,8 @@ def test_criterion_3_trace_identities(a1):
     """trace(q^ alpha) = 2 alpha for dx, dx/x, dy/y, dx^dy/z; < 1s each."""
     x, y, z = (MultiPoly.var(QQ, a1.yvars, n) for n in a1.yvars)
     one = MultiPoly.const(QQ, a1.yvars, 1)
-    dx = DiffForm.d_var(QQ, a1.yvars, "x")
-    dy = DiffForm.d_var(QQ, a1.yvars, "y")
+    dx = DiffForm(QQ, a1.yvars, 1, {(0,): RationalFn(one)})
+    dy = DiffForm(QQ, a1.yvars, 1, {(1,): RationalFn(one)})
     samples = [
         dx,
         dx.scale(RationalFn(one, x)),

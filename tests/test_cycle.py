@@ -16,6 +16,7 @@ from orbint.cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
                           pullback_along_map, pushforward,
                           pushforward_along_map, specialize, split_clusters,
                           total_intersection_number)
+from orbint.group import act_ideal, inertia_group, setwise_stabilizer
 from orbint.errors import (NotProper, PositiveDimensionalIntersection,
                            SeparationFailure, SpecializationDegenerate,
                            UnsupportedPreimageShape)
@@ -60,6 +61,61 @@ def test_orbit_class_moving_line(a1):
     assert (o.orbit_size, o.stab_order, o.inertia_order) == (2, 1, 1)
     assert o.inertia_order <= o.stab_order
     assert o.orbit_size * o.stab_order == a1.k
+
+
+# --- a non-diagonal control: the swap (u, v) -> (v, u) ------------------------------
+
+SWAP_SCENE = ("field rationals\nmodel S = quotient generators [[0, 1], [1, 0]] "
+              "invariants u + v, u*v upstairs u, v downstairs s, p\n")
+
+
+@pytest.fixture(scope="module")
+def swap():
+    return scene_module.parse_scene(SWAP_SCENE).models["S"]
+
+
+def test_swap_orbit_data_by_hand(swap):
+    # the swap fixes the diagonal pointwise, turns the antidiagonal about the
+    # origin, and moves the line u = 1 onto v = 1
+    u, v = up(swap, "u"), up(swap, "v")
+    group = swap.group
+    cases = [(prime(swap, u - v), (1, 2, 2)),
+             (prime(swap, u + v), (1, 2, 1)),
+             (prime(swap, u - 1), (2, 1, 1))]
+    for p, (size, stab, inertia) in cases:
+        keys = {act_ideal(group, el, p).canonical_key() for el in group}
+        assert len(keys) == size
+        assert setwise_stabilizer(group, p).order == stab
+        assert inertia_group(group, p).order == inertia
+        o = OrbitClass.of(swap, p)
+        assert (o.orbit_size, o.stab_order, o.inertia_order) == \
+            (size, stab, inertia)
+    flip = next(el for el in group if el != group.identity)
+    assert act_ideal(group, flip, prime(swap, u - 1)) == prime(swap, v - 1)
+
+
+def test_swap_map_equivariance(swap, a1):
+    u, v = up(swap, "u"), up(swap, "v")
+    # F(v, u) = -F(u, v): the swap corresponds to the sign element of A1
+    antisym = ModelMap(swap, a1, [u - v, (u - v) ** 3], name="d")
+    flip = next(i for i, el in enumerate(swap.group) if el != swap.group.identity)
+    sign = next(i for i, el in enumerate(a1.group) if el != a1.group.identity)
+    assert antisym.phi[flip] == sign
+    with pytest.raises(ValueError, match="not equivariant"):
+        ModelMap(swap, a1, [u, v], name="inclusion")
+
+
+def test_swap_family_through_the_diagonal(swap):
+    ring = ("s",) + swap.uvars
+    su, sv, ss = (MultiPoly.var(QQ, ring, n) for n in ("u", "v", "s"))
+    fam = CycleFamily(swap, "s", [((su - sv - ss,), Fraction(1))],
+                      (Fraction(-2), Fraction(2)))
+    # away from s = 0 the swap moves the line u - v = s onto u - v = -s
+    assert fam.generic_stabs == (1,)
+    u, v = up(swap, "u"), up(swap, "v")
+    assert specialize(fam, 1) == cyc(swap, (prime(swap, u - v - 1), 1))
+    # at s = 0 both translates are the diagonal, which the swap fixes pointwise
+    assert specialize(fam, 0) == cyc(swap, (prime(swap, u - v), 1))
 
 
 # --- pullback / pushforward -----------------------------------------------------

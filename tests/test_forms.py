@@ -21,12 +21,18 @@ from orbint.quotient import LocalModel, catalog_model, express_in_invariants
 from orbint.scene import parse_scene
 
 
+def d_var(field, variables, name):
+    """The 1-form d(name) on the chart `variables`."""
+    one = RationalFn(MultiPoly.const(field, variables, 1))
+    return DiffForm(field, variables, 1, {(variables.index(name),): one})
+
+
 def d_up(model, name):
-    return DiffForm.d_var(model.field, model.uvars, name)
+    return d_var(model.field, model.uvars, name)
 
 
 def d_down(model, name):
-    return DiffForm.d_var(model.field, model.yvars, name)
+    return d_var(model.field, model.yvars, name)
 
 
 def upoly(model, name):
@@ -226,15 +232,15 @@ def test_trace_identities_on_cyclotomic_model(a2):
     one = MultiPoly.const(a2.field, a2.yvars, 1)
     x = MultiPoly.var(a2.field, a2.yvars, "x")
     z = MultiPoly.var(a2.field, a2.yvars, "z")
-    dx = DiffForm.d_var(a2.field, a2.yvars, "x")
-    dy = DiffForm.d_var(a2.field, a2.yvars, "y")
+    dx = d_var(a2.field, a2.yvars, "x")
+    dy = d_var(a2.field, a2.yvars, "y")
     traced = trace_form(a2, q_pullback(a2, dx))
     assert downstairs_equal(a2, traced, dx.scale(3))
     dxox = dx.scale(RationalFn(one, x))
     assert downstairs_equal(a2, trace_form(a2, q_pullback(a2, dxox)),
                             dxox.scale(3))
-    du = DiffForm.d_var(a2.field, a2.uvars, "u")
-    dv = DiffForm.d_var(a2.field, a2.uvars, "v")
+    du = d_var(a2.field, a2.uvars, "u")
+    dv = d_var(a2.field, a2.uvars, "v")
     vol = wedge(du, dv)
     cand = wedge(dx, dy).scale(RationalFn(one, z * z * 3))
     assert q_pullback(a2, cand) == symmetrize(a2, vol)
@@ -560,17 +566,17 @@ def test_pullback_along_a_non_linear_map_matches_the_wedge_chain():
     # a square map whose Jacobian determinant shares a factor with the
     # pulled denominator: (s, t) -> (a^2, a b), ds^dt / s -> 2 da^db
     square = {"s": a * a, "t": a * b}
-    vol = wedge(DiffForm.d_var(QQ, target, "s"), DiffForm.d_var(QQ, target, "t"))
+    vol = wedge(d_var(QQ, target, "s"), d_var(QQ, target, "t"))
     got = pullback_form(square, vol.scale(RationalFn(one, s)), source)
-    assert got == wedge(DiffForm.d_var(QQ, source, "a"),
-                        DiffForm.d_var(QQ, source, "b")).scale(2)
+    assert got == wedge(d_var(QQ, source, "a"),
+                        d_var(QQ, source, "b")).scale(2)
 
 
 def test_pullback_raises_when_a_denominator_vanishes():
     target, source = ("s", "t"), ("a",)
     a = MultiPoly.var(QQ, source, "a")
     s, t = (MultiPoly.var(QQ, target, v) for v in target)
-    alpha = DiffForm.d_var(QQ, target, "s").scale(
+    alpha = d_var(QQ, target, "s").scale(
         RationalFn(MultiPoly.const(QQ, target, 1), s - t))
     images = {"s": a, "t": a}
     for pull in (pullback_form, _reference_pullback):

@@ -1,9 +1,12 @@
 """Finite matrix groups, Reynolds averaging, Molien counts, stabilizers."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import orbint
 from orbint.arith import CyclotomicField, QQ
 from orbint.budgets import Budget
 from orbint.errors import NotFinite
@@ -16,6 +19,21 @@ UV = ("u", "v")
 
 def up(name, field=QQ):
     return MultiPoly.var(field, UV, name)
+
+
+def is_closed(subgroup):
+    """The elements contain the identity and are closed under product."""
+    elements = set(subgroup.elements)
+
+    def product(a, b):
+        n = len(a)
+        return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(n)),
+                               subgroup.parent.field.zero)
+                           for j in range(n)) for i in range(n))
+
+    return (subgroup.parent.identity in elements
+            and all(product(a, b) in elements
+                    for a in elements for b in elements))
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +188,7 @@ def test_stabilizers_coordinate_line(sign_group):
     # -1 maps the line {u=0} to itself but moves (0,1) to (0,-1)
     assert s.order == 2
     assert i.order == 1
-    assert s.verify_closure() and i.verify_closure()
+    assert is_closed(s) and is_closed(i)
 
 
 def test_stabilizers_origin(sign_group):
@@ -213,3 +231,35 @@ def test_orbit_stabilizer(sign_group):
                 for el in sign_group}
         s = setwise_stabilizer(sign_group, prime)
         assert len(keys) * s.order == sign_group.order
+
+
+# The names forms.py and cycle.py may import from group.py: the action of an
+# element and the orbit routines built on it.
+ACTION_API = {"act", "act_ideal", "inertia_group", "orbit_translates",
+              "setwise_stabilizer", "substitution"}
+
+
+def test_only_group_builds_the_action():
+    """group.py alone turns a matrix into its substitution: no other engine
+    module names `linear_form`, and forms.py and cycle.py reach the group
+    only through the action and orbit API."""
+    for path in sorted(Path(orbint.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+                if node.level == 1 and node.module == "group":
+                    imported |= {alias.name for alias in node.names}
+                elif node.level == 1 and node.module is None:
+                    imported |= {alias.name for alias in node.names
+                                 if alias.name == "group"}
+        if path.stem != "group":
+            assert "linear_form" not in names, path.name
+        if path.stem in ("forms", "cycle"):
+            assert imported <= ACTION_API, (path.name, imported - ACTION_API)
