@@ -10,9 +10,17 @@ combinatorics:
   push-forward   q_*(c . P)  = c * (s/i) * O(P)
   intersection   X . Y       = (1/k) q_*( q*X . q*Y )
 
+For a group that does not act diagonally (`quotient generators` models),
 intersect_model is that formula as written, with q*X . q*Y an UpstairsCycle.
-Properness is checked upstairs (q is finite), on every component pair before
-any pair is split.
+For a diagonal group (every catalog model) it uses that q*X . q*Y and q_* are
+G-equivariant: the members of an orbit class O contribute alike, so
+q_*(q*X . q*Y) is the sum over the classes of q_*(|O| [rep O] . q*Y), and only
+the representatives are intersected (Fulton, Intersection Theory, 1.4).  The
+shortcut needs every element diagonal because _prime_cycle's solved-graph test
+is invariant only under diagonal elements.  Properness is checked upstairs (q
+is finite), on every component pair that is intersected before any pair is
+split; a pair (g.P, Q) meets as (P, g^-1.Q) does, so the representatives'
+pairs are proper exactly when all pairs are.
 
 The upstairs product of zero-dimensional intersections is computed by the
 eigenvalue method: a random linear form ell (from a generator seeded by the
@@ -48,7 +56,8 @@ from .errors import (NonCMWarning, NotEquidimensional, NotFiniteOnSupport,
                      PositiveDimensionalIntersection,
                      SampleDisagreement, SeparationFailure,
                      SpecializationDegenerate, UnsupportedPreimageShape)
-from .group import act_ideal, inertia_group, orbit_translates, substitution
+from .group import (act_ideal, inertia_group, is_diagonal, orbit_translates,
+                    substitution)
 from .poly import GREVLEX, Ideal, MultiPoly, mp_factor
 from .quotient import LocalModel
 
@@ -493,10 +502,26 @@ def intersect_model(model: LocalModel, x: DownstairsCycle, y: DownstairsCycle,
                     _rng: object = None) -> DownstairsCycle:
     """The rational intersection product (1/k) q_*(q*X . q*Y).
 
+    On a diagonal group each orbit class O of X with coefficient c enters
+    q*X . q*Y once, as its representative with coefficient c * i * |O|; the
+    push-forward does not see which member of O was intersected.  A NotProper
+    reads as it would after a scan of every pair: that scan meets the
+    components of q*X in canonical-key order, each representative (the least
+    key of its class) before the other members, and a member's first
+    improper pair has an equivalent in its representative's row, so the
+    first improper pair of the whole scan is in a representative's row.
+    Other groups intersect every pair as written.
+
     The product depends on X and Y alone.  The fourth argument is accepted
     and ignored, because the products benchmark still passes a generator.
     """
-    up = intersect_upstairs(pullback(model, x), pullback(model, y))
+    if is_diagonal(model.group):
+        qx = UpstairsCycle(model.field, model.uvars, [
+            (orbit.rep, c * orbit.inertia_order * orbit.orbit_size)
+            for orbit, c in x.components])
+    else:
+        qx = pullback(model, x)
+    up = intersect_upstairs(qx, pullback(model, y))
     return pushforward(model, up).scale(Fraction(1, model.k))
 
 

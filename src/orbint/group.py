@@ -4,10 +4,16 @@ Elements are dense matrices over the base field, enumerated by closure from
 the generators; equality is exact matrix comparison (desk scale: order below
 10^4, dimension below ~6).  This module is the one place that turns a group
 element into its action: `substitution` sends u_i -> (g.u)_i, each image one
-linear form read off row i of g, and `act`, `act_ideal`, `inertia_group`, the
-form action and the equivariance check of a model map all substitute through
-it.  `orbit_translates` is the one loop over the translates g.I of an ideal,
-keyed by canonical key; orbit classes, setwise stabilizers and family
+linear form read off row i of g, and `act`, `inertia_group`, the form action,
+the equivariance check of a model map and `act_ideal` on a non-diagonal
+element all substitute through it.  A diagonal element (every element of a
+catalog group, and the identity of any group) moves an ideal without
+substituting: `act_ideal` scales each term of each generator by the
+element's weights (`Ideal.rescaled`), and the image's reduced basis is the
+source's, rescaled, with no Buchberger run.  `is_diagonal` says whether a
+whole group acts that way, which lets a product intersect one representative
+per orbit.  `orbit_translates` is the one loop over the translates g.I of an
+ideal, keyed by canonical key; orbit classes, setwise stabilizers and family
 stabilizers read it.  Orbit sums (Reynolds operator, norms, symmetrized
 forms) do not depend on the substitution-vs-inverse convention because they
 range over the whole group.
@@ -147,7 +153,26 @@ def act(group: FiniteMatrixGroup, element, f: MultiPoly) -> MultiPoly:
     return f.substitute(substitution(element, f.field, f.vars))
 
 
+def _diagonal(element) -> tuple | None:
+    """The diagonal entries of the matrix g when g is diagonal, else None."""
+    n = len(element)
+    if any(element[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
+    return tuple(element[i][i] for i in range(n))
+
+
+def is_diagonal(group: FiniteMatrixGroup) -> bool:
+    """Whether every element is diagonal, so that every translate g.P of a
+    prime is P with its terms rescaled."""
+    return all(_diagonal(el) is not None for el in group)
+
+
 def act_ideal(group: FiniteMatrixGroup, element, ideal: Ideal) -> Ideal:
+    """The translate g.I: generators substituted u_i -> (g.u)_i, or, for a
+    diagonal g, their terms rescaled with the basis carried over."""
+    weights = _diagonal(element)
+    if weights is not None:
+        return ideal.rescaled(weights)
     images = substitution(element, ideal.field, ideal.vars)
     return Ideal(ideal.field, ideal.vars,
                  [g.substitute(images) for g in ideal.gens])

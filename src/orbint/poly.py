@@ -6,7 +6,12 @@ reduced Groebner basis.  It goes through one bounded memo for the whole
 process, keyed on (field, variables, order, installed budget, generator
 tuple), so a hit returns exactly what a fresh `buchberger` run on that input
 under that budget would return, and a smaller budget still raises where a
-fresh run would.  The memo keeps the `_GB_MEMO_SIZE` most recently used
+fresh run would.  `Ideal.rescaled` seeds it too: the image of an ideal under
+a diagonal substitution u_i -> w_i u_i gets the ideal's basis with its terms
+rescaled, made monic, which is what a fresh run on the image's generators
+returns, since that run takes the same steps; the seeded entry is stored only
+after the source's basis was read under the same budget, so the contract
+holds for it too.  The memo keeps the `_GB_MEMO_SIZE` most recently used
 bases, stores no exceptions, and updates under one lock, so distinct Ideal
 values can be used concurrently.
 
@@ -245,14 +250,17 @@ class MultiPoly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.field, self.vars, 1)
+        if exp == 0:
+            return MultiPoly.const(self.field, self.vars, 1)
+        out = None
         base = self
-        while exp:
+        while True:
             if exp & 1:
-                out = out * base
-            base = base * base if exp > 1 else base
+                out = base if out is None else out * base
             exp >>= 1
-        return out
+            if not exp:
+                return out
+            base = base * base
 
     def monic(self, order: TermOrder = GREVLEX) -> "MultiPoly":
         if self.is_zero():
@@ -279,10 +287,15 @@ class MultiPoly:
         ring0 = imgs[0]
         acc = MultiPoly.zero(ring0.field, ring0.vars)
         for m, c in self.terms.items():
-            term = MultiPoly.const(ring0.field, ring0.vars, c)
+            term = None
             for i, e in enumerate(m):
                 if e:
-                    term = term * imgs[i] ** e
+                    power = imgs[i] ** e
+                    term = power if term is None else term * power
+            if term is None:
+                term = MultiPoly.const(ring0.field, ring0.vars, c)
+            else:
+                term = term * c
             acc = acc + term
         return acc
 
@@ -514,6 +527,25 @@ _GB_MEMO: dict = {}            # (field, vars, order, budget, gens) -> basis
 _GB_LOCK = threading.Lock()
 
 
+def _remember(key, basis: tuple) -> None:
+    """Store a basis as the memo's newest entry, evicting the oldest past
+    `_GB_MEMO_SIZE`."""
+    with _GB_LOCK:
+        _GB_MEMO.pop(key, None)
+        _GB_MEMO[key] = basis
+        if len(_GB_MEMO) > _GB_MEMO_SIZE:
+            del _GB_MEMO[next(iter(_GB_MEMO))]
+
+
+def _monomial_weight(field: Field, weights, m: Monomial):
+    """w^m = prod w_i^m_i."""
+    out = field.one
+    for w, e in zip(weights, m):
+        for _ in range(e):
+            out = out * w
+    return out
+
+
 class Ideal:
     """Finitely generated ideal; immutable after construction.
 
@@ -542,11 +574,39 @@ class Ideal:
             basis = _GB_MEMO.pop(key, None)
         if basis is None:
             basis = tuple(buchberger(list(self.gens), order))
-        with _GB_LOCK:
-            _GB_MEMO[key] = basis
-            if len(_GB_MEMO) > _GB_MEMO_SIZE:
-                del _GB_MEMO[next(iter(_GB_MEMO))]
+        _remember(key, basis)
         return basis
+
+    def rescaled(self, weights) -> "Ideal":
+        """The image under u_i -> w_i u_i for nonzero scalars w_i: each term
+        c u^m of a generator becomes c w^m u^m, with w^m = prod w_i^m_i.
+
+        The substitution keeps every monomial, so it keeps every leading
+        monomial, zero test and term count, and `buchberger` on the image's
+        generators takes exactly the steps it takes on these.  So the image's
+        reduced grevlex basis is this ideal's, rescaled and made monic, and
+        it is entered into the memo under the image's key.  This ideal's
+        basis is read first under the installed budget, so a budget that
+        would stop the image's own run raises here, with the same text.
+        When every w_i is 1 the image is this ideal itself.
+        """
+        field, variables = self.field, self.vars
+        weights = [field.coerce(w) for w in weights]
+        if len(weights) != len(variables):
+            raise ValueError("one weight per variable")
+        if all(w == 1 for w in weights):
+            return self
+        scale = _KeyCache(lambda m: _monomial_weight(field, weights, m))
+
+        def move(p: MultiPoly) -> MultiPoly:
+            return MultiPoly(field, variables,
+                             {m: c * scale[m] for m, c in p.terms.items()})
+
+        image = Ideal(field, variables, [move(g) for g in self.gens])
+        basis = tuple(move(b).monic(GREVLEX) for b in self.groebner(GREVLEX))
+        _remember((field, variables, GREVLEX, budgets.current(), image.gens),
+                  basis)
+        return image
 
     def normal_form(self, f: MultiPoly, order: TermOrder = GREVLEX) -> MultiPoly:
         return normal_form_list(f, list(self.groebner(order)), order)

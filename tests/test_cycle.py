@@ -17,11 +17,13 @@ from orbint.cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
                           pushforward_along_map, specialize, split_clusters,
                           total_intersection_number)
 from orbint.group import act_ideal, inertia_group, setwise_stabilizer
-from orbint.errors import (NotProper, PositiveDimensionalIntersection,
+from orbint.errors import (NotProper, OrbintError,
+                           PositiveDimensionalIntersection,
                            SeparationFailure, SpecializationDegenerate,
                            UnsupportedPreimageShape)
 from orbint.poly import Ideal, MultiPoly
-from orbint.quotient import model_trivial, norm_polynomial
+from orbint.quotient import catalog_model, model_trivial, norm_polynomial
+from orbint.verify import random_cycle
 
 
 def up(model, name):
@@ -555,11 +557,7 @@ def test_not_proper_has_one_wording(a1):
     assert str(down.value) == str(upstairs.value) == reason
 
 
-def test_intersect_model_forms_each_pair_sum_once(a1, monkeypatch):
-    u, v = up(a1, "u"), up(a1, "v")
-    x = cyc(a1, (prime(a1, u), 1), (prime(a1, u - 1), 2))
-    y = cyc(a1, (prime(a1, v), 1), (prime(a1, v - 2), 1))
-    pairs = len(pullback(a1, x).components) * len(pullback(a1, y).components)
+def _count_pair_sums(monkeypatch):
     real_add = Ideal.__add__
     sums = []
 
@@ -568,9 +566,78 @@ def test_intersect_model_forms_each_pair_sum_once(a1, monkeypatch):
         return real_add(self, other)
 
     monkeypatch.setattr(Ideal, "__add__", counting_add)
+    return sums
+
+
+def every_pair_product(model, x, y):
+    """The product as written, (1/k) q_*(q*X . q*Y) with every component
+    pair of q*X and q*Y intersected: the reference for intersect_model."""
+    up_ = intersect_upstairs(pullback(model, x), pullback(model, y))
+    return pushforward(model, up_).scale(Fraction(1, model.k))
+
+
+def test_intersect_model_forms_each_pair_sum_once(a1, monkeypatch):
+    u, v = up(a1, "u"), up(a1, "v")
+    # A1 is diagonal: one row of pairs per orbit class of X, the class of u
+    # (one member) and of u - 1 (two members), against the 3 members of q*Y
+    x = cyc(a1, (prime(a1, u), 1), (prime(a1, u - 1), 2))
+    y = cyc(a1, (prime(a1, v), 1), (prime(a1, v - 2), 1))
+    assert len(pullback(a1, x).components) == 3
+    reference = every_pair_product(a1, x, y)
+    sums = _count_pair_sums(monkeypatch)
     out = intersect_model(a1, x, y)
     assert not out.is_empty()
-    assert len(sums) == pairs
+    assert len(sums) == len(x.components) * len(pullback(a1, y).components) == 6
+    assert out == reference and repr(out) == repr(reference)
+
+
+def test_intersect_model_on_the_swap_forms_every_pair(swap, monkeypatch):
+    u, v = up(swap, "u"), up(swap, "v")
+    # the swap is not diagonal, so every member of q*X meets every member of
+    # q*Y: {u - 1, v - 1} against {u - 2, v - 2}, two of them in a point
+    x = cyc(swap, (prime(swap, u - 1), 1))
+    y = cyc(swap, (prime(swap, u - 2), 1))
+    reference = every_pair_product(swap, x, y)
+    sums = _count_pair_sums(monkeypatch)
+    out = intersect_model(swap, x, y)
+    assert len(sums) == 4
+    assert out == reference and not out.is_empty()
+
+
+def _product_or_error(product, model, x, y):
+    try:
+        return repr(product(model, x, y))
+    except OrbintError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "prod_a1_t1"])
+def test_intersect_model_matches_every_pair_formula(request, name):
+    model = request.getfixturevalue(name)
+    rng = random.Random(f"orbit-representatives:{name}")
+    outcomes = set()
+    for _ in range(16):
+        cx, cy = rng.randint(1, model.n), rng.randint(1, model.n)
+        x, y = random_cycle(model, rng, cx), random_cycle(model, rng, cy)
+        expected = _product_or_error(every_pair_product, model, x, y)
+        assert _product_or_error(intersect_model, model, x, y) == expected
+        outcomes.add(expected.split(":")[0] if ":" in expected else "ok")
+    assert "ok" in outcomes and len(outcomes) > 1    # products and refusals
+
+
+def test_intersect_model_not_proper_reads_as_the_full_scan():
+    model = catalog_model("product(A1, trivial-2)")
+    u, v, t1, t2 = (up(model, name) for name in model.uvars)
+    # surfaces in 4-space meet in points when proper; here some pairs of
+    # members meet in curves and some in surfaces
+    x = cyc(model, (prime(model, u - 1, v - 1), 1), (prime(model, u, t1), 2))
+    y = cyc(model, (prime(model, u - 1, t1), 1), (prime(model, u + 1, v + 1), 1),
+            (prime(model, u, t2 - 1), 1))
+    reason = is_proper(model, x, y).reason
+    assert reason.startswith("components meet in dimension")
+    with pytest.raises(NotProper) as err:
+        intersect_model(model, x, y)
+    assert str(err.value) == reason
 
 
 def test_positive_dimensional_certified(trivial3):

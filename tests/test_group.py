@@ -2,17 +2,21 @@
 
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 
 import orbint
+from orbint import poly
 from orbint.arith import CyclotomicField, QQ
-from orbint.budgets import Budget
-from orbint.errors import NotFinite
+from orbint.budgets import Budget, using
+from orbint.errors import EffortExceeded, NotFinite
 from orbint.group import (act, act_ideal, enumerate_group, inertia_group,
-                          is_invariant, molien, reynolds, setwise_stabilizer)
-from orbint.poly import Ideal, MultiPoly
+                          is_diagonal, is_invariant, molien, reynolds,
+                          setwise_stabilizer, substitution)
+from orbint.poly import Ideal, MultiPoly, buchberger
+from orbint.verify import random_prime
 
 UV = ("u", "v")
 
@@ -235,8 +239,8 @@ def test_orbit_stabilizer(sign_group):
 
 # The names forms.py and cycle.py may import from group.py: the action of an
 # element and the orbit routines built on it.
-ACTION_API = {"act", "act_ideal", "inertia_group", "orbit_translates",
-              "setwise_stabilizer", "substitution"}
+ACTION_API = {"act", "act_ideal", "inertia_group", "is_diagonal",
+              "orbit_translates", "setwise_stabilizer", "substitution"}
 
 
 def test_only_group_builds_the_action():
@@ -263,3 +267,111 @@ def test_only_group_builds_the_action():
             assert "linear_form" not in names, path.name
         if path.stem in ("forms", "cycle"):
             assert imported <= ACTION_API, (path.name, imported - ACTION_API)
+
+
+# --- acting by scaling: diagonal elements ---------------------------------------
+
+CATALOG = ("a1", "a2", "trivial3", "prod_a1_t1")
+
+
+def test_is_diagonal(request, sign_group, mu3):
+    for name in CATALOG:
+        assert is_diagonal(request.getfixturevalue(name).group), name
+    assert is_diagonal(sign_group) and is_diagonal(mu3)
+    assert not is_diagonal(enumerate_group(QQ, [[[0, 1], [1, 0]]]))
+
+
+def _random_poly(model, rng, degree, terms):
+    """A polynomial with a constant term and up to `terms` further monomials
+    of degree at most `degree`, with nonzero integer coefficients."""
+    out = {(0,) * model.n: rng.choice([-3, -2, -1, 1, 2, 3])}
+    for _ in range(terms):
+        e = [0] * model.n
+        for _ in range(rng.randint(1, degree)):
+            e[rng.randrange(model.n)] += 1
+        out[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return MultiPoly(model.field, model.uvars, out)
+
+
+def _scaling_cases(model, name):
+    """Seeded graph primes of every codimension, hypersurfaces of degree up
+    to 3, and pairs of quadrics, whose Buchberger runs process pairs."""
+    rng = random.Random(f"scaling:{name}")
+    cases = [random_prime(model, rng, codim)
+             for codim in range(1, model.n + 1) for _ in range(2)]
+    cases += [Ideal(model.field, model.uvars, [_random_poly(model, rng, 3, 4)])
+              for _ in range(3)]
+    cases += [Ideal(model.field, model.uvars,
+                    [_random_poly(model, rng, 2, 3) for _ in range(2)])
+              for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_scaled_generators_are_the_substituted_ones(request, name):
+    model = request.getfixturevalue(name)
+    for ideal in _scaling_cases(model, name):
+        for el in model.group:
+            images = substitution(el, model.field, model.uvars)
+            moved = act_ideal(model.group, el, ideal)
+            assert moved.gens == tuple(g.substitute(images) for g in ideal.gens)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_seeded_basis_is_a_fresh_buchberger_run(request, name, monkeypatch):
+    model = request.getfixturevalue(name)
+    runs = []
+    real = poly.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "buchberger", counted)
+    for ideal in _scaling_cases(model, name):
+        for el in model.group:
+            monkeypatch.setattr(poly, "_GB_MEMO", {})
+            ideal.groebner()
+            before = len(runs)
+            moved = act_ideal(model.group, el, ideal)
+            seeded = moved.groebner()
+            assert len(runs) == before          # read from the seeded entry
+            assert seeded == tuple(real(list(moved.gens)))
+
+
+SMALL_BUDGETS = ([Budget(max_pairs=p) for p in (0, 1, 2, 3)]
+                 + [Budget(max_terms=t) for t in (3, 5, 8)])
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EffortExceeded as exc:
+        return f"EffortExceeded: {exc}"
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_scaled_runs_stop_where_the_source_run_stops(request, name,
+                                                     monkeypatch):
+    model = request.getfixturevalue(name)
+    stopped = 0
+    for ideal in _scaling_cases(model, name):
+        for el in model.group:
+            moved_gens = list(act_ideal(model.group, el, ideal).gens)
+            for budget in SMALL_BUDGETS:
+                source = _outcome(lambda: buchberger(list(ideal.gens),
+                                                     budget=budget))
+                fresh = _outcome(lambda: buchberger(moved_gens, budget=budget))
+                assert isinstance(source, str) == isinstance(fresh, str)
+                if isinstance(source, str):
+                    stopped += 1
+                    assert fresh == source
+                # through the memo: the source's basis is read under the
+                # installed budget before the image's basis is seeded
+                monkeypatch.setattr(poly, "_GB_MEMO", {})
+                with using(budget):
+                    seeded = _outcome(lambda: act_ideal(model.group, el,
+                                                        ideal).groebner())
+                assert seeded == (fresh if isinstance(fresh, str)
+                                  else tuple(fresh))
+    assert stopped
