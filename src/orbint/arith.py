@@ -270,14 +270,17 @@ class CycElem:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.inverse() ** (-exp)
-        out = self.field.one
+        if exp == 0:
+            return self.field.one
+        out = None
         base = self
-        while exp:
+        while True:
             if exp & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             exp >>= 1
-        return out
+            if not exp:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -10,17 +10,17 @@ combinatorics:
   push-forward   q_*(c . P)  = c * (s/i) * O(P)
   intersection   X . Y       = (1/k) q_*( q*X . q*Y )
 
-For a group that does not act diagonally (`quotient generators` models),
-intersect_model is that formula as written, with q*X . q*Y an UpstairsCycle.
-For a diagonal group (every catalog model) it uses that q*X . q*Y and q_* are
-G-equivariant: the members of an orbit class O contribute alike, so
-q_*(q*X . q*Y) is the sum over the classes of q_*(|O| [rep O] . q*Y), and only
-the representatives are intersected (Fulton, Intersection Theory, 1.4).  The
-shortcut needs every element diagonal because _prime_cycle's solved-graph test
-is invariant only under diagonal elements.  Properness is checked upstairs (q
+intersect_model and is_proper use that q*X . q*Y and q_* are G-equivariant,
+and that q_* cannot tell the members of an orbit apart: q_*[g.Z] = q_*[Z]
+(Fulton, Intersection Theory, 1.4).  So each orbit class O of X enters once,
+as its representative with coefficient c * i * |O|, and only the
+representatives meet q*Y.  This holds on every group, because every step
+that turns a pair sum into its cycle commutes with an invertible linear
+change of coordinates (see _prime_cycle).  Properness is checked upstairs (q
 is finite), on every component pair that is intersected before any pair is
 split; a pair (g.P, Q) meets as (P, g^-1.Q) does, so the representatives'
-pairs are proper exactly when all pairs are.
+pairs are proper exactly when all pairs are.  For the same reason a family
+member is specialized once, not at each of its |G| translates.
 
 The upstairs product of zero-dimensional intersections is computed by the
 eigenvalue method: a random linear form ell (from a generator seeded by the
@@ -36,9 +36,11 @@ algebra, and I + <p(ell)> is already the radical cluster ideal.
 One routine, _prime_cycle, turns an ideal (a pair sum, a map preimage, a
 family member, a scene's lift) into its prime cycle, for three shapes: a
 principal hypersurface (factored), a zero-dimensional ideal (split as above)
-and a solved-graph reduced basis (each element a variable minus a polynomial
-in non-leading variables), which is prime of multiplicity one.  A pair sum of
-any other shape raises PositiveDimensionalIntersection, a NotProper.
+and a solved graph: a reduced basis whose leading monomials are distinct
+single variables.  Grevlex compares total degree first, so such a basis has
+degree at most one and its zero set is an affine-linear subspace, prime of
+multiplicity one.  A pair sum of any other shape raises
+PositiveDimensionalIntersection, a NotProper.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ from .errors import (NonCMWarning, NotEquidimensional, NotFiniteOnSupport,
                      PositiveDimensionalIntersection,
                      SampleDisagreement, SeparationFailure,
                      SpecializationDegenerate, UnsupportedPreimageShape)
-from .group import (act_ideal, inertia_group, is_diagonal, orbit_translates,
-                    substitution)
+from .group import inertia_group, orbit_translates, substitution
 from .poly import GREVLEX, Ideal, MultiPoly, mp_factor
 from .quotient import LocalModel
 
@@ -297,6 +298,15 @@ def pullback(model: LocalModel, cycle: DownstairsCycle) -> UpstairsCycle:
     return UpstairsCycle(model.field, model.uvars, comps)
 
 
+def _representatives(model: LocalModel, cycle: DownstairsCycle) -> UpstairsCycle:
+    """q*X gathered on representatives: c . O becomes c * i * |O| [rep O].
+    It stands in for q*X wherever only q_* of a product, or properness, is
+    read."""
+    return UpstairsCycle(model.field, model.uvars, [
+        (orbit.rep, c * orbit.inertia_order * orbit.orbit_size)
+        for orbit, c in cycle.components])
+
+
 def pushforward(model: LocalModel, cycle: UpstairsCycle) -> DownstairsCycle:
     """q_* : each prime contributes (stabilizer/inertia) times its class."""
     comps = []
@@ -343,12 +353,13 @@ def _meeting_sums(a: UpstairsCycle, b: UpstairsCycle, n: int) -> list[tuple]:
 def is_proper(model: LocalModel, x: DownstairsCycle,
               y: DownstairsCycle) -> ProperReport:
     """Supports meet in codimension codim X + codim Y upstairs (or not at
-    all); equivalent to the downstairs condition since q is finite."""
+    all); equivalent to the downstairs condition since q is finite.  Only the
+    representatives of X's classes are scanned, as in intersect_model."""
     cx, cy = x.codim(), y.codim()
     if x.is_empty() or y.is_empty():
         return ProperReport(True, cx, cy, "empty factor")
     try:
-        _meeting_sums(pullback(model, x), pullback(model, y), model.n)
+        _meeting_sums(_representatives(model, x), pullback(model, y), model.n)
     except NotProper as exc:
         return ProperReport(False, cx, cy, str(exc))
     return ProperReport(True, cx, cy)
@@ -434,12 +445,16 @@ def _prime_cycle(ideal: Ideal, dim: int) -> list[tuple[Ideal, int]] | None:
       - a principal hypersurface: the irreducible factors of its generator,
         each with its exponent;
       - a zero-dimensional ideal: its point clusters (split_clusters);
-      - a solved-graph reduced basis, whose elements are `v - g(rest)` with
-        distinct leading variables.  Such an ideal is prime (the quotient is
-        a polynomial ring) and its cycle multiplicity is 1.  The zero ideal
-        (the whole space) qualifies trivially.
+      - a solved graph: a reduced basis whose leading monomials are
+        distinct single variables.  Grevlex compares total degree first, so
+        every element has degree at most one and the zero set is an
+        affine-linear subspace: prime (the quotient is a polynomial ring),
+        of cycle multiplicity 1.  The zero ideal (the whole space) qualifies
+        trivially.
 
-    Any other shape gives None, and the caller raises its own error.
+    Any other shape gives None, and the caller raises its own error.  Each
+    shape, and the answer, is unchanged by an invertible linear change of
+    coordinates: [g.I] = g.[I], and g.I gives None exactly when I does.
     """
     gb = ideal.groebner()
     if len(gb) == 1 and dim == ideal.n - 1:
@@ -500,28 +515,18 @@ def intersect_upstairs(a: UpstairsCycle, b: UpstairsCycle) -> UpstairsCycle:
 
 def intersect_model(model: LocalModel, x: DownstairsCycle, y: DownstairsCycle,
                     _rng: object = None) -> DownstairsCycle:
-    """The rational intersection product (1/k) q_*(q*X . q*Y).
+    """The rational intersection product (1/k) q_*(q*X . q*Y), with q*X
+    gathered on one representative per orbit class (_representatives).
 
-    On a diagonal group each orbit class O of X with coefficient c enters
-    q*X . q*Y once, as its representative with coefficient c * i * |O|; the
-    push-forward does not see which member of O was intersected.  A NotProper
-    reads as it would after a scan of every pair: that scan meets the
-    components of q*X in canonical-key order, each representative (the least
-    key of its class) before the other members, and a member's first
-    improper pair has an equivalent in its representative's row, so the
-    first improper pair of the whole scan is in a representative's row.
-    Other groups intersect every pair as written.
+    A NotProper reads as it would after a scan of every pair: that scan
+    meets q*X in canonical-key order, each representative (the least key of
+    its class) before the other members, and a member's first improper pair
+    has an equivalent in its representative's row.
 
     The product depends on X and Y alone.  The fourth argument is accepted
     and ignored, because the products benchmark still passes a generator.
     """
-    if is_diagonal(model.group):
-        qx = UpstairsCycle(model.field, model.uvars, [
-            (orbit.rep, c * orbit.inertia_order * orbit.orbit_size)
-            for orbit, c in x.components])
-    else:
-        qx = pullback(model, x)
-    up = intersect_upstairs(qx, pullback(model, y))
+    up = intersect_upstairs(_representatives(model, x), pullback(model, y))
     return pushforward(model, up).scale(Fraction(1, model.k))
 
 
@@ -849,10 +854,11 @@ class CycleFamily:
 def specialize(family: CycleFamily, value) -> DownstairsCycle:
     """Member of the family at a rational parameter value.
 
-    The member is assembled from all |G| group translates of the specialized
-    generators (so orbit collisions acquire the correct limiting
-    multiplicities) and normalized by 1/k, mirroring the intersection
-    product's normalization.
+    Each component's specialized ideal M is taken to its prime cycle and
+    pushed forward.  That is (1/k) q_*(sum_g [g.M]), the member assembled
+    from all |G| translates and normalized as the intersection product is,
+    because q_*[g.M] = q_*[M] for every g; so orbit collisions keep their
+    limiting multiplicities.
     """
     value = Fraction(value)
     model = family.model
@@ -860,34 +866,27 @@ def specialize(family: CycleFamily, value) -> DownstairsCycle:
     if not (lo <= value <= hi):
         raise ValueError(f"parameter {value} outside window [{lo}, {hi}]")
     total: list[tuple[Ideal, Fraction]] = []
-    dims = set()
     for (gens, coeff), gstab in zip(family.components, family.generic_stabs):
         coeff = coeff / gstab
         member = family.member_ideal(gens, value)
         if not member.gens:
             raise SpecializationDegenerate(
                 f"family member at {value} is the whole space")
-        for el in model.group:
-            j = act_ideal(model.group, el, member)
-            if j.is_unit():
-                raise SpecializationDegenerate(
-                    f"family member at {value} is empty")
-            d = j.dimension()
-            if d != family.nominal_dim:
-                raise SpecializationDegenerate(
-                    f"dimension jump at {value}: {d} vs nominal "
-                    f"{family.nominal_dim}")
-            parts = _prime_cycle(j, d)
-            if parts is None:
-                raise SpecializationDegenerate(
-                    "family member is neither a hypersurface, a finite "
-                    "scheme, nor a certified prime")
-            total.extend((prime, coeff * mult) for prime, mult in parts)
-            dims.add(d)
-    if len(dims) > 1:
-        raise SpecializationDegenerate("mixed dimensions in one member")
-    up = UpstairsCycle(model.field, model.uvars, total)
-    return pushforward(model, up).scale(Fraction(1, model.k))
+        if member.is_unit():
+            raise SpecializationDegenerate(
+                f"family member at {value} is empty")
+        d = member.dimension()
+        if d != family.nominal_dim:
+            raise SpecializationDegenerate(
+                f"dimension jump at {value}: {d} vs nominal "
+                f"{family.nominal_dim}")
+        parts = _prime_cycle(member, d)
+        if parts is None:
+            raise SpecializationDegenerate(
+                "family member is neither a hypersurface, a finite "
+                "scheme, nor a certified prime")
+        total.extend((prime, coeff * mult) for prime, mult in parts)
+    return pushforward(model, UpstairsCycle(model.field, model.uvars, total))
 
 
 def total_intersection_number(cycle: DownstairsCycle) -> Fraction:

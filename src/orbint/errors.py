@@ -58,10 +58,10 @@ class NotProper(OrbintError):
 
 class PositiveDimensionalIntersection(NotProper):
     """Proper but positive-dimensional intersection whose pair sum is
-    neither a principal hypersurface nor a certified (solved-graph) prime
-    (a zero-dimensional pair sum is always split).  The message names only
-    the solved-graph subclass and stays as it is, because recorded product
-    results contain it."""
+    neither a principal hypersurface nor a certified (solved-graph) prime,
+    that is, an affine-linear subspace (a zero-dimensional pair sum is
+    always split).  The message names only the solved-graph subclass and
+    stays as it is, because recorded product results contain it."""
 
 
 class SeparationFailure(OrbintError):
@@ -70,7 +70,8 @@ class SeparationFailure(OrbintError):
 
 class UnsupportedPreimageShape(OrbintError):
     """A map preimage is neither a principal hypersurface, zero-dimensional,
-    nor a certified (solved-graph) prime."""
+    nor a certified (solved-graph) prime, that is, an affine-linear
+    subspace."""
 
 
 class NotEquidimensional(OrbintError):

@@ -10,13 +10,11 @@ element all substitute through it.  A diagonal element (every element of a
 catalog group, and the identity of any group) moves an ideal without
 substituting: `act_ideal` scales each term of each generator by the
 element's weights (`Ideal.rescaled`), and the image's reduced basis is the
-source's, rescaled, with no Buchberger run.  `is_diagonal` says whether a
-whole group acts that way, which lets a product intersect one representative
-per orbit.  `orbit_translates` is the one loop over the translates g.I of an
-ideal, keyed by canonical key; orbit classes, setwise stabilizers and family
-stabilizers read it.  Orbit sums (Reynolds operator, norms, symmetrized
-forms) do not depend on the substitution-vs-inverse convention because they
-range over the whole group.
+source's, rescaled, with no Buchberger run.  `orbit_translates` is the one
+loop over the translates g.I of an ideal, keyed by canonical key; orbit
+classes, setwise stabilizers and family stabilizers read it.  Orbit sums
+(Reynolds operator, norms, symmetrized forms) do not depend on the
+substitution-vs-inverse convention because they range over the whole group.
 """
 
 from __future__ import annotations
@@ -159,12 +157,6 @@ def _diagonal(element) -> tuple | None:
     if any(element[i][j] for i in range(n) for j in range(n) if i != j):
         return None
     return tuple(element[i][i] for i in range(n))
-
-
-def is_diagonal(group: FiniteMatrixGroup) -> bool:
-    """Whether every element is diagonal, so that every translate g.P of a
-    prime is P with its terms rescaled."""
-    return all(_diagonal(el) is not None for el in group)
 
 
 def act_ideal(group: FiniteMatrixGroup, element, ideal: Ideal) -> Ideal:

@@ -22,7 +22,9 @@ Budget and raise EffortExceeded instead of running away.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import threading
 from fractions import Fraction
 
@@ -539,11 +541,8 @@ def _remember(key, basis: tuple) -> None:
 
 def _monomial_weight(field: Field, weights, m: Monomial):
     """w^m = prod w_i^m_i."""
-    out = field.one
-    for w, e in zip(weights, m):
-        for _ in range(e):
-            out = out * w
-    return out
+    powers = [w ** e for w, e in zip(weights, m) if e]
+    return functools.reduce(operator.mul, powers) if powers else field.one
 
 
 class Ideal:

@@ -93,6 +93,30 @@ def test_canonical_forms_unique():
     assert i * i == -1
 
 
+def test_cyclotomic_power_multiplies_from_its_base(monkeypatch):
+    z = K3.generator
+    w = z + 2
+    inv = w.inverse()
+    real_mul = CycElem.__mul__
+    calls = []
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(CycElem, "__mul__", counting_mul)
+    monkeypatch.setattr(CycElem, "__rmul__", counting_mul)
+    for exp, cost in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        calls.clear()
+        power = w ** exp
+        assert len(calls) == cost, exp
+        calls.clear()
+        assert power == reduce(real_mul, [w] * exp, K3.one)
+    assert w ** 0 == K3.one
+    assert w ** -1 == inv and w ** -3 == inv * inv * inv
+    assert z ** -1 == z * z
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [Fraction(-1), Fraction(1)]
     assert cyclotomic_polynomial(2) == [Fraction(1), Fraction(1)]

@@ -10,10 +10,10 @@ import pytest
 from orbint import budgets, cycle as cycle_module, scene as scene_module
 from orbint.arith import QQ, CyclotomicField, char_poly, factor_univariate
 from orbint.cycle import (CycleFamily, DownstairsCycle, ModelMap, OrbitClass,
-                          UpstairsCycle, _prime_cycle, conservation_check,
-                          f_product, intersect_model, intersect_upstairs,
-                          is_proper, principal_divisor, pullback,
-                          pullback_along_map, pushforward,
+                          UpstairsCycle, _meeting_sums, _prime_cycle,
+                          conservation_check, f_product, intersect_model,
+                          intersect_upstairs, is_proper, principal_divisor,
+                          pullback, pullback_along_map, pushforward,
                           pushforward_along_map, specialize, split_clusters,
                           total_intersection_number)
 from orbint.group import act_ideal, inertia_group, setwise_stabilizer
@@ -23,7 +23,7 @@ from orbint.errors import (NotProper, OrbintError,
                            UnsupportedPreimageShape)
 from orbint.poly import Ideal, MultiPoly
 from orbint.quotient import catalog_model, model_trivial, norm_polynomial
-from orbint.verify import random_cycle
+from orbint.verify import random_cycle, random_prime
 
 
 def up(model, name):
@@ -74,6 +74,28 @@ SWAP_SCENE = ("field rationals\nmodel S = quotient generators [[0, 1], [1, 0]] "
 @pytest.fixture(scope="module")
 def swap():
     return scene_module.parse_scene(SWAP_SCENE).models["S"]
+
+
+# two more non-diagonal groups: a transposition of three coordinates, and the
+# order-4 rotation (u, v, w) -> (-v, u, w)
+SWAP3_SCENE = ("field rationals\nmodel T = quotient generators "
+               "[[0, 1, 0], [1, 0, 0], [0, 0, 1]] invariants u + v, u*v, w "
+               "upstairs u, v, w downstairs s, p, t\n")
+ROTATION_SCENE = ("field rationals\nmodel R = quotient generators "
+                  "[[0, -1, 0], [1, 0, 0], [0, 0, 1]] invariants u^2 + v^2, "
+                  "u^2*v^2, u*v*(u^2 - v^2), w upstairs u, v, w "
+                  "downstairs a, b, c, t\n")
+NON_DIAGONAL = ("swap", "swap3", "rotation")
+
+
+@pytest.fixture(scope="module")
+def swap3():
+    return scene_module.parse_scene(SWAP3_SCENE).models["T"]
+
+
+@pytest.fixture(scope="module")
+def rotation():
+    return scene_module.parse_scene(ROTATION_SCENE).models["R"]
 
 
 def test_swap_orbit_data_by_hand(swap):
@@ -591,17 +613,20 @@ def test_intersect_model_forms_each_pair_sum_once(a1, monkeypatch):
     assert out == reference and repr(out) == repr(reference)
 
 
-def test_intersect_model_on_the_swap_forms_every_pair(swap, monkeypatch):
+def test_intersect_model_on_the_swap_forms_one_row_per_class(swap, monkeypatch):
     u, v = up(swap, "u"), up(swap, "v")
-    # the swap is not diagonal, so every member of q*X meets every member of
-    # q*Y: {u - 1, v - 1} against {u - 2, v - 2}, two of them in a point
+    # the swap is not diagonal, yet only the representative of X's one class
+    # {u - 1, v - 1} meets the 2 members of q*Y = {u - 2, v - 2}
     x = cyc(swap, (prime(swap, u - 1), 1))
     y = cyc(swap, (prime(swap, u - 2), 1))
+    assert len(pullback(swap, x).components) == 2
     reference = every_pair_product(swap, x, y)
     sums = _count_pair_sums(monkeypatch)
     out = intersect_model(swap, x, y)
-    assert len(sums) == 4
+    assert len(sums) == \
+        len(x.components) * len(pullback(swap, y).components) == 2
     assert out == reference and not out.is_empty()
+    assert repr(out) == repr(reference)
 
 
 def _product_or_error(product, model, x, y):
@@ -611,7 +636,8 @@ def _product_or_error(product, model, x, y):
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("name", ["a1", "a2", "prod_a1_t1"])
+@pytest.mark.parametrize("name", ["a1", "a2", "prod_a1_t1", "swap3",
+                                  "rotation"])
 def test_intersect_model_matches_every_pair_formula(request, name):
     model = request.getfixturevalue(name)
     rng = random.Random(f"orbit-representatives:{name}")
@@ -638,6 +664,67 @@ def test_intersect_model_not_proper_reads_as_the_full_scan():
     with pytest.raises(NotProper) as err:
         intersect_model(model, x, y)
     assert str(err.value) == reason
+
+
+def every_pair_reason(model, x, y):
+    """is_proper's reason as a scan of every pair of q*X and q*Y reads it."""
+    try:
+        _meeting_sums(pullback(model, x), pullback(model, y), model.n)
+    except NotProper as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("name", NON_DIAGONAL)
+def test_is_proper_matches_every_pair_scan(request, name):
+    model = request.getfixturevalue(name)
+    rng = random.Random(f"proper-representatives:{name}")
+    reasons = []
+    for _ in range(20):
+        cx, cy = rng.randint(1, model.n), rng.randint(1, model.n)
+        x, y = random_cycle(model, rng, cx), random_cycle(model, rng, cy)
+        report = is_proper(model, x, y)
+        assert report.reason == every_pair_reason(model, x, y)
+        assert report.proper == (report.reason == "")
+        reasons.append(report.reason)
+    assert "" in reasons and any(reasons)      # proper and improper pairs
+
+
+def _random_ideal(model, rng):
+    """A random prime cut by a random hypersurface, or a random prime with
+    one generator bent, with its dimension: inputs of every shape
+    _prime_cycle knows, and in three variables curves that it refuses."""
+    p = random_prime(model, rng, rng.randint(1, model.n))
+    if rng.random() < 0.5:
+        ideal = p + random_prime(model, rng, 1)
+    else:
+        u = up(model, rng.choice(model.uvars))
+        gens = list(p.gens)
+        gens[0] = gens[0] + u ** rng.randint(2, 3) * rng.choice([-1, 1])
+        ideal = prime(model, *gens)
+    return ideal, (None if ideal.is_unit() else ideal.dimension())
+
+
+@pytest.mark.parametrize("name", NON_DIAGONAL)
+def test_prime_cycle_commutes_with_every_element(request, name):
+    model = request.getfixturevalue(name)
+    rng = random.Random(f"prime-cycle-equivariance:{name}")
+    shapes = set()
+    for _ in range(24):
+        ideal, d = _random_ideal(model, rng)
+        if d is None:
+            continue
+        parts = _prime_cycle(ideal, d)
+        shapes.add(parts is None)
+        for el in model.group:
+            moved = _prime_cycle(act_ideal(model.group, el, ideal), d)
+            assert (moved is None) == (parts is None)
+            if parts is not None:
+                assert sorted((p.canonical_key(), m) for p, m in moved) == \
+                    sorted((act_ideal(model.group, el, p).canonical_key(), m)
+                           for p, m in parts)
+    # cycles, and in three variables refusals
+    assert False in shapes and (model.n == 2 or True in shapes)
 
 
 def test_positive_dimensional_certified(trivial3):
@@ -899,6 +986,77 @@ def test_specialize_degenerate_dimension(a1):
                       (Fraction(-1), Fraction(1)))
     with pytest.raises(SpecializationDegenerate):
         specialize(fam, 0)   # s=0 turns the hyperbola into the empty set
+
+
+def translate_specialize(family, value):
+    """The member as (1/k) q_*(sum_g [g.M]): the prime cycle of every
+    translate of each specialized component, the reference for specialize."""
+    value = Fraction(value)
+    model = family.model
+    total = []
+    for (gens, coeff), gstab in zip(family.components, family.generic_stabs):
+        member = family.member_ideal(gens, value)
+        for el in model.group:
+            j = act_ideal(model.group, el, member)
+            if j.is_unit():
+                raise SpecializationDegenerate(
+                    f"family member at {value} is empty")
+            d = j.dimension()
+            if d != family.nominal_dim:
+                raise SpecializationDegenerate(
+                    f"dimension jump at {value}: {d} vs nominal "
+                    f"{family.nominal_dim}")
+            parts = _prime_cycle(j, d)
+            if parts is None:
+                raise SpecializationDegenerate(
+                    "family member is neither a hypersurface, a finite "
+                    "scheme, nor a certified prime")
+            total.extend((p, coeff / gstab * m) for p, m in parts)
+    up_ = UpstairsCycle(model.field, model.uvars, total)
+    return pushforward(model, up_).scale(Fraction(1, model.k))
+
+
+def _random_family(model, rng):
+    """One or two random primes of one codimension, each moved by s: a
+    generator shifted by s times a monomial, or scaled by s against a
+    constant (empty at s = 0)."""
+    ring = ("s",) + model.uvars
+    s_ = MultiPoly.var(model.field, ring, "s")
+    codim = rng.randint(1, model.n)
+    comps = []
+    for _ in range(rng.randint(1, 2)):
+        gens = [g.embed(ring) for g in random_prime(model, rng, codim).gens]
+        i = rng.randrange(len(gens))
+        if rng.random() < 0.8:
+            m = MultiPoly.var(model.field, ring, rng.choice(model.uvars))
+            shift = m ** rng.randint(0, 2) * rng.choice([-2, -1, 1, 2])
+            gens[i] = gens[i] + s_ * shift
+        else:
+            gens[i] = gens[i] * s_ - 1
+        comps.append((tuple(gens), Fraction(rng.randint(1, 3))))
+    return CycleFamily(model, "s", comps, (Fraction(-2), Fraction(2)))
+
+
+def _specialized_or_error(spec, family, value):
+    try:
+        return repr(spec(family, value))
+    except OrbintError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "swap", "rotation"])
+def test_specialize_matches_every_translate(request, name):
+    model = request.getfixturevalue(name)
+    rng = random.Random(f"specialize-representatives:{name}")
+    outcomes = set()
+    for _ in range(8):
+        family = _random_family(model, rng)
+        for value in (-1, 0, 1, 2):
+            got = _specialized_or_error(specialize, family, value)
+            assert got == _specialized_or_error(translate_specialize,
+                                                family, value)
+            outcomes.add(got.split(":")[0] if ":" in got else "ok")
+    assert "ok" in outcomes and len(outcomes) > 1    # members and refusals
 
 
 def test_conservation_across_singular_fiber(moving_family, a1):

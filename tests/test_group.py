@@ -13,8 +13,8 @@ from orbint.arith import CyclotomicField, QQ
 from orbint.budgets import Budget, using
 from orbint.errors import EffortExceeded, NotFinite
 from orbint.group import (act, act_ideal, enumerate_group, inertia_group,
-                          is_diagonal, is_invariant, molien, reynolds,
-                          setwise_stabilizer, substitution)
+                          is_invariant, molien, reynolds, setwise_stabilizer,
+                          substitution)
 from orbint.poly import Ideal, MultiPoly, buchberger
 from orbint.verify import random_prime
 
@@ -239,8 +239,8 @@ def test_orbit_stabilizer(sign_group):
 
 # The names forms.py and cycle.py may import from group.py: the action of an
 # element and the orbit routines built on it.
-ACTION_API = {"act", "act_ideal", "inertia_group", "is_diagonal",
-              "orbit_translates", "setwise_stabilizer", "substitution"}
+ACTION_API = {"act", "act_ideal", "inertia_group", "orbit_translates",
+              "setwise_stabilizer", "substitution"}
 
 
 def test_only_group_builds_the_action():
@@ -272,13 +272,6 @@ def test_only_group_builds_the_action():
 # --- acting by scaling: diagonal elements ---------------------------------------
 
 CATALOG = ("a1", "a2", "trivial3", "prod_a1_t1")
-
-
-def test_is_diagonal(request, sign_group, mu3):
-    for name in CATALOG:
-        assert is_diagonal(request.getfixturevalue(name).group), name
-    assert is_diagonal(sign_group) and is_diagonal(mu3)
-    assert not is_diagonal(enumerate_group(QQ, [[[0, 1], [1, 0]]]))
 
 
 def _random_poly(model, rng, degree, terms):
